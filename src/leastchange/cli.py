@@ -104,7 +104,9 @@ def _print_table(table: CoefficientTable, token: str, fmt: str, out) -> None:
 def cmd_least(args, parser) -> int:
     spec = TypeSpec(args.family, args.n)
     try:
-        xset = ValueSet.parse(args.values) if "," in args.values else _interval(args.values)
+        xset = _value_set(args.values)
+    except ZeroDivisionError:
+        parser.error(f"value set {args.values!r} has a zero denominator")
     except ValueError as exc:
         parser.error(str(exc))
     attaining = attaining_matrices(spec, xset)
@@ -127,23 +129,38 @@ def cmd_least(args, parser) -> int:
     return 0
 
 
-def _interval(text: str) -> ValueSet:
+def _value_set(text: str) -> ValueSet:
+    """A bracketed ``[lo:hi]`` is an interval; anything else a discrete literal."""
     text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        lo, hi = text[1:-1].split(":")
-        return ValueSet.continuous(Fraction(lo), Fraction(hi))
-    raise ValueError(
-        "value set must be a comma-separated list like 0,1/2@1/2,2@1/2 "
-        "or an interval like [0:2]"
-    )
+    if not text.startswith("["):
+        return ValueSet.parse(text)
+    bounds = text[1:-1].split(":")
+    if not text.endswith("]") or len(bounds) != 2:
+        raise ValueError(f"interval {text!r} must look like [0:2]")
+    return ValueSet.continuous(Fraction(bounds[0]), Fraction(bounds[1]))
+
+
+def _grid_step(text: str) -> Fraction:
+    try:
+        step = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction like 1/100") from None
+    if not 0 < step < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not strictly between 0 and 1")
+    return step
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def cmd_curve(args, parser) -> int:
-    step = Fraction(args.step)
     out = _open_out(args.out)
     tables = family_tables(args.n)
     try:
-        emit_curve(args.n, step, sink=out, tables=tables)
+        emit_curve(args.n, args.step, sink=out, tables=tables)
     finally:
         if args.out:
             out.close()
@@ -301,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="probability curves for all families")
     p_curve.add_argument("--n", required=True, type=int)
-    p_curve.add_argument("--step", default="1/100")
+    p_curve.add_argument("--step", default="1/100", type=_grid_step)
     p_curve.add_argument("--out", default=None)
 
     p_least = sub.add_parser("least", help="least attainable |det| over a value set")
@@ -316,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
-    p_verify.add_argument("--n", type=int, default=None)
+    p_verify.add_argument("--n", type=_positive_int, default=None)
     p_verify.add_argument("--workers", type=int, default=default_workers())
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
 

@@ -149,21 +149,25 @@ def census_by_pair_states(n: int) -> CoefficientTable:
             adjacency[i] |= np.where(d == 1, np.uint8(1 << j), np.uint8(0))
             adjacency[j] |= np.where(d == 2, np.uint8(1 << i), np.uint8(0))
             edge_count += (d != 0).astype(np.int64)
-        acyclic = _peel_vectorized(adjacency, n)
+        acyclic = acyclic_mask(adjacency, n)
         counts += np.bincount(edge_count[acyclic], minlength=m + 1)
     return _census_table(n, [int(v) for v in counts])
 
 
-def _peel_vectorized(adjacency: list[np.ndarray], n: int) -> np.ndarray:
-    full = np.uint8((1 << n) - 1)
-    alive = np.full(adjacency[0].shape, full, dtype=np.uint8)
+def acyclic_mask(adjacency: list[np.ndarray], n: int) -> np.ndarray:
+    """Vectorized source peeling over batches of adjacency row arrays.
+
+    True where repeatedly deleting in-degree-0 vertices empties the graph;
+    each round keeps exactly the live vertices with a live predecessor.
+    """
+    alive = np.full(adjacency[0].shape, np.uint8((1 << n) - 1), dtype=np.uint8)
     zero = np.uint8(0)
     for _ in range(n):
         incoming = np.zeros(adjacency[0].shape, dtype=np.uint8)
         for u in range(n):
             live = ((alive >> np.uint8(u)) & np.uint8(1)).astype(bool)
             incoming |= np.where(live, adjacency[u], zero)
-        alive &= ~(alive & ~incoming)
+        alive &= incoming
     return alive == 0
 
 

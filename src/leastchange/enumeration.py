@@ -1,12 +1,13 @@
 """Exhaustive census of pertinent matrices for each family.
 
 An assignment of the m variable elements is an m-bit counter whose bits map
-onto the variable positions in row-major order.  The hot loop never computes
-a permanent: families A and B use a vectorized Hall-condition test (permanent
-zero iff the row/column bipartite graph has no perfect matching) and family C
-uses vectorized source peeling (permanent one iff the off-diagonal digraph is
-acyclic).  Both shortcuts are validated exhaustively against the permanent in
-the test suite before being trusted here.
+onto the variable positions in row-major order.  ``pertinent_mask`` is the
+one place that maps a family to its pertinence test, applied to a whole
+array of counters at once: families A and B use a vectorized Hall-condition
+test (permanent zero iff the row/column bipartite graph has no perfect
+matching) and family C uses the vectorized source peel of ``dags`` (permanent
+one iff the off-diagonal digraph is acyclic).  Both shortcuts are validated
+exhaustively against the permanent in the test suite before being trusted.
 
 Counting partitions the counter range into equal slices; a slice's partial
 counts depend only on the slice, so any parallel schedule merges to the same
@@ -15,12 +16,14 @@ table by elementwise addition.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dags import acyclic_mask
 from .errors import DimensionError
 from .matrices import BinaryMatrix, TypeSpec, permanent_expansion
 from .tables import ROUTE_ENUMERATION, CoefficientTable
@@ -120,23 +123,20 @@ class ExtremesReport:
 
 
 def verify_extremes(spec: TypeSpec) -> ExtremesReport:
-    """Confirm that i_max (equivalently j_min) is tight, with witnesses."""
-    _check_enumeration_dim(spec)
-    m = spec.m
-    i_max = spec.i_max
-    max_ones = -1
-    witness_bits: list[int] = []
-    for lo in range(0, 1 << m, _BATCH_SIZE):
-        hi = min(lo + _BATCH_SIZE, 1 << m)
-        counters = np.arange(lo, hi, dtype=np.uint32)
-        pert = _pertinent_mask(spec, counters)
-        if not pert.any():
-            continue
-        ones = np.bitwise_count(counters).astype(np.int64)
-        pert_ones = ones[pert]
-        max_ones = max(max_ones, int(pert_ones.max()))
-        witness_bits.extend(int(c) for c in counters[pert & (ones == i_max)])
-    witnesses = tuple(spec.matrix_from_bits(b) for b in witness_bits)
+    """Confirm that i_max (equivalently j_min) is tight, with witnesses.
+
+    ``count_pertinent`` already rejects any pertinent assignment with more
+    than i_max ones, so only the C(m, i_max) counters with exactly i_max
+    ones are tested for witnesses.
+    """
+    table = count_pertinent(spec)
+    max_ones = max(i for i, c in enumerate(table.coeffs) if c)
+    full = (1 << spec.m) - 1
+    zero_sets = itertools.combinations(range(spec.m), spec.j_min)
+    counters = np.fromiter((full ^ sum(1 << k for k in z) for z in zero_sets), np.uint32)
+    counters.sort()
+    hits = counters[pertinent_mask(spec, counters)]
+    witnesses = tuple(spec.matrix_from_bits(int(b)) for b in hits)
     return ExtremesReport(spec, max_ones, witnesses)
 
 
@@ -159,18 +159,17 @@ def _counts_for_range(spec: TypeSpec, start: int, stop: int) -> np.ndarray:
     for lo in range(start, stop, _BATCH_SIZE):
         hi = min(lo + _BATCH_SIZE, stop)
         counters = np.arange(lo, hi, dtype=np.uint32)
-        pert = _pertinent_mask(spec, counters)
+        pert = pertinent_mask(spec, counters)
         ones = np.bitwise_count(counters).astype(np.int64)
         counts += np.bincount(ones[pert], minlength=m + 1)
     return counts
 
 
-def _pertinent_mask(spec: TypeSpec, counters: np.ndarray) -> np.ndarray:
+def pertinent_mask(spec: TypeSpec, counters: np.ndarray) -> np.ndarray:
+    """Pertinence of each uint32 assignment counter, as a boolean array."""
     if spec.family == "C":
-        adjacency = _build_rows(spec, counters, include_fixed=False)
-        return _acyclic_mask(adjacency, spec.n)
-    rows = _build_rows(spec, counters, include_fixed=True)
-    return _hall_violated(rows, spec.n)
+        return acyclic_mask(_build_rows(spec, counters, include_fixed=False), spec.n)
+    return _hall_violated(_build_rows(spec, counters, include_fixed=True), spec.n)
 
 
 def _field_plan(spec: TypeSpec) -> list[list[tuple[int, int, int]]]:
@@ -217,21 +216,6 @@ def _hall_violated(rows: list[np.ndarray], n: int) -> np.ndarray:
         unions[s] = unions[s ^ low] | rows[low.bit_length() - 1]
         violated |= _POPCOUNT5[unions[s]] < s.bit_count()
     return violated
-
-
-def _acyclic_mask(adjacency: list[np.ndarray], n: int) -> np.ndarray:
-    """True where repeatedly deleting in-degree-0 vertices empties the graph."""
-    full = np.uint8((1 << n) - 1)
-    alive = np.full(adjacency[0].shape, full, dtype=np.uint8)
-    zero = np.uint8(0)
-    for _ in range(n):
-        incoming = np.zeros(adjacency[0].shape, dtype=np.uint8)
-        for u in range(n):
-            live = ((alive >> np.uint8(u)) & np.uint8(1)).astype(bool)
-            incoming |= np.where(live, adjacency[u], zero)
-        sources = alive & ~incoming
-        alive &= ~sources
-    return alive == 0
 
 
 def default_workers() -> int:

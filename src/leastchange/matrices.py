@@ -9,6 +9,7 @@ operation is pure and safe under any amount of concurrency.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -295,13 +296,26 @@ def permanent_ryser(matrix: BinaryMatrix) -> int:
 
 
 def determinant(matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via the integer Bareiss kernel.
+
+    Rational entries are first scaled to integers by the lcm of their
+    denominators; the scale comes back out as ``scale**n``.
+    """
     if isinstance(matrix, BinaryMatrix):
-        matrix = matrix.to_rational()
-    n = matrix.n
-    a = [[Fraction(v) for v in row] for row in matrix.entries]
+        return Fraction(det_int(matrix.to_lists()))
+    scale = math.lcm(*(v.denominator for row in matrix.entries for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix.entries]
+    return Fraction(det_int(rows), scale**matrix.n)
+
+
+def det_int(a: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant over ints; divisions are exact.
+
+    Eliminates in place, so the caller hands over rows it no longer needs.
+    """
+    n = len(a)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -310,12 +324,15 @@ def determinant(matrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            f = row_i[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+            row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
 

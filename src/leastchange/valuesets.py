@@ -10,8 +10,11 @@ matters: matrices sharing the locations of their nonzero variable elements
 form one equivalence class, represented here by the pattern itself.  A class
 attains the least value exactly when its pattern is pertinent (permanent
 equal to the family target), because then every determinant term beyond the
-forced ones vanishes identically.  For a discrete set every assignment has
-positive probability, so plain minimization over assignments applies.
+forced ones vanishes identically; the classes are found by running the
+batched pertinence test of ``enumeration.pertinent_mask`` once over all 2^m
+patterns.  For a discrete set every assignment has positive probability, so
+plain minimization over assignments applies, with each determinant taken by
+the integer Bareiss kernel of ``matrices``.
 """
 
 from __future__ import annotations
@@ -22,14 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dags import is_acyclic, matrix_to_digraph
-from .enumeration import has_perfect_matching
+import numpy as np
+
+from .enumeration import pertinent_mask
 from .errors import BudgetError, DimensionError
 from .genfunc import Polynomial
 from .matrices import (
     BinaryMatrix,
     RationalMatrix,
     TypeSpec,
+    det_int,
     determinant,
     permanent_expansion,
     support,
@@ -151,19 +156,6 @@ def _pattern_budget(spec: TypeSpec) -> None:
         raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
 
 
-def _pattern_is_pertinent(spec: TypeSpec, pattern: BinaryMatrix) -> bool:
-    # validated shortcuts: permanent 0 <=> no perfect matching (A, B);
-    # permanent 1 <=> off-diagonal digraph acyclic (C)
-    if spec.family == "C":
-        return is_acyclic(matrix_to_digraph(pattern))
-    return not has_perfect_matching(pattern)
-
-
-def _iter_patterns(spec: TypeSpec):
-    for bits in range(1 << spec.m):
-        yield spec.matrix_from_bits(bits)
-
-
 def least_determinant(spec: TypeSpec, xset: ValueSet) -> Fraction:
     """Determinant value of least absolute value attainable with positive
     probability; ties between +u and -u resolve to the nonnegative one."""
@@ -179,9 +171,9 @@ def attaining_matrices(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
     if xset.kind == "continuous":
         _check_continuous_dim(spec)
         _pattern_budget(spec)
-        members = tuple(
-            p for p in _iter_patterns(spec) if _pattern_is_pertinent(spec, p)
-        )
+        counters = np.arange(1 << spec.m, dtype=np.uint32)
+        hits = np.flatnonzero(pertinent_mask(spec, counters))
+        members = tuple(spec.matrix_from_bits(int(b)) for b in hits)
         return AttainingSet(spec, xset, Fraction(spec.target_permanent), members)
     value, members = _discrete_scan(spec, xset)
     return AttainingSet(spec, xset, value, members)
@@ -236,7 +228,7 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
     for combo in itertools.product(range(len(values)), repeat=m):
         for k, (i, j) in enumerate(positions):
             base[i][j] = scaled[combo[k]]
-        d = _det_int([row[:] for row in base], n)
+        d = det_int([row[:] for row in base])
         a = abs(d)
         if best is None or a < best:
             best = a
@@ -265,7 +257,8 @@ def _pattern_scan(spec: TypeSpec) -> tuple[Fraction, tuple]:
     _pattern_budget(spec)
     best: Fraction | None = None
     kept: list[tuple[Fraction, BinaryMatrix]] = []
-    for pattern in _iter_patterns(spec):
+    for bits in range(1 << spec.m):
+        pattern = spec.matrix_from_bits(bits)
         d = determinant(pattern)
         a = abs(d)
         if best is None or a < best:
@@ -276,31 +269,6 @@ def _pattern_scan(spec: TypeSpec) -> tuple[Fraction, tuple]:
     u = best if any(d == best for d, _ in kept) else -best
     members = tuple(p for d, p in kept if d == u)
     return Fraction(u), members
-
-
-def _det_int(a: list[list[int]], n: int) -> int:
-    """Bareiss fraction-free determinant over ints; divisions are exact."""
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            f = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,13 @@ class TestCurve:
         assert out.startswith("r,P_A,P_B,P_C")
         assert "chain" in err
 
+    @pytest.mark.parametrize("step", ["0", "1", "abc", "1/0"])
+    def test_bad_step_is_usage_error(self, capsys, step):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "curve", "--n", "2", "--step", step)
+        assert exc.value.code == 2
+        assert "--step" in capsys.readouterr().err
+
 
 class TestLeast:
     def test_discrete_literal(self, capsys):
@@ -134,9 +141,18 @@ class TestLeast:
         assert payload["attaining"] == 3
 
     def test_bad_literal_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "least", "--family", "C", "--n", "2", "--values", "1,2")
-        assert exc.value.code == 2
+        cases = [
+            ("1,2", "must contain 0"),
+            ("0", "nonzero value"),
+            ("0,1/0", "zero denominator"),
+            ("[0:2:3]", "must look like [0:2]"),
+            ("[0:2", "must look like [0:2]"),
+        ]
+        for values, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "least", "--family", "C", "--n", "2", "--values", values)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestVerify:
@@ -164,6 +180,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "routes", "--n", "4")
         assert code == 0
         assert out.count("PASS") == 4
+
+    @pytest.mark.parametrize("suite", ["routes", "acyclic"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_is_usage_error(self, capsys, suite, n):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", suite, "--n", n)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
     def test_oeis_suite_reports_known_total_mismatch(self, capsys):
         # the published family-A total at n=5 disagrees with its own row;

@@ -160,6 +160,19 @@ class TestMatchingPredicate:
 
 
 class TestVerifyExtremes:
+    @pytest.mark.parametrize(
+        "family, n, count",
+        [("A", 3, 6), ("B", 3, 2), ("C", 3, 6), ("A", 4, 8), ("B", 4, 2), ("C", 4, 24)],
+    )
+    def test_witnesses_are_the_last_coefficient(self, family, n, count):
+        spec = TypeSpec(family, n)
+        report = verify_extremes(spec)
+        assert report.ok
+        assert len(report.witnesses) == count == count_pertinent(spec).coeffs[-1]
+        bits = [spec.bits_from_matrix(w) for w in report.witnesses]
+        assert bits == sorted(bits)
+        assert all(is_pertinent(spec, w) for w in report.witnesses)
+
     def test_family_a_n3(self):
         report = verify_extremes(TypeSpec("A", 3))
         assert report.ok

@@ -195,6 +195,12 @@ class TestDeterminant:
                 m = RationalMatrix.from_rows(rows)
                 assert determinant(m) == determinant_expansion(m)
 
+    def test_every_binary_3x3_matches_expansion(self):
+        # the 0/1 rows go straight to the integer kernel, no scaling
+        for bits in range(1 << 9):
+            m = BinaryMatrix(3, tuple((bits >> (3 * i)) & 0b111 for i in range(3)))
+            assert determinant(m) == determinant_expansion(m)
+
 
 class TestDeleteRowCol:
     def test_identity_minor(self):

@@ -18,6 +18,7 @@ from leastchange import (
     determinant,
     least_determinant,
     least_determinant_binary,
+    permanent_expansion,
 )
 
 HALF = Fraction(1, 2)
@@ -170,6 +171,18 @@ class TestAttainingSets:
             rows_zero = any(r == 0 for r in m.rows)
             cols_zero = any(r == 0 for r in m.transpose().rows)
             assert rows_zero or cols_zero
+
+    @pytest.mark.parametrize("family", "ABC")
+    def test_continuous_patterns_are_the_pertinent_ones_n3(self, family):
+        # the batched pertinence test against the permanent, in counter order
+        spec = TypeSpec(family, 3)
+        expected = tuple(
+            m
+            for m in map(spec.matrix_from_bits, range(1 << spec.m))
+            if permanent_expansion(m) == spec.target_permanent
+        )
+        patterns = attaining_patterns(spec, ValueSet.continuous(0, 1))
+        assert patterns.members == expected
 
     def test_a2_discrete_patterns_add_all_ones(self):
         dis = attaining_patterns(TypeSpec("A", 2), ValueSet.discrete([0, HALF, 2]))
