@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--route", default="enumeration", choices=("enumeration", "dag", "gf", "all")
     )
     p_count.add_argument("--format", default="text", choices=("json", "csv", "text"))
-    p_count.add_argument("--workers", type=int, default=default_workers())
+    p_count.add_argument("--workers", type=_positive_int, default=default_workers())
     p_count.add_argument("--out", default=None)
 
     p_curve = sub.add_parser("curve", help="probability curves for all families")
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--n", type=_positive_int, default=None)
-    p_verify.add_argument("--workers", type=int, default=default_workers())
+    p_verify.add_argument("--workers", type=_positive_int, default=default_workers())
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
 
     return parser

@@ -3,11 +3,23 @@
 An assignment of the m variable elements is an m-bit counter whose bits map
 onto the variable positions in row-major order.  ``pertinent_mask`` is the
 one place that maps a family to its pertinence test, applied to a whole
-array of counters at once: families A and B use a vectorized Hall-condition
-test (permanent zero iff the row/column bipartite graph has no perfect
-matching) and family C uses the vectorized source peel of ``dags`` (permanent
-one iff the off-diagonal digraph is acyclic).  Both shortcuts are validated
-exhaustively against the permanent in the test suite before being trusted.
+array of counters at once.  Family C (permanent one) uses the vectorized
+source peel of ``dags``: permanent one iff the off-diagonal digraph is
+acyclic.
+
+Families A and B (permanent zero) split the rows.  Laplace expansion along
+the top h = ceil(n/2) rows gives perm(M) = sum over the h-column sets S of
+perm(M[top, S]) * perm(M[bottom, S^c]).  For a 0/1 matrix every term is a
+non-negative integer, so perm(M) = 0 exactly when no S makes both factors
+nonzero.  The top rows are the low bits of the counter and the bottom rows
+the high bits, so two tables, built lazily once per family and n, map each
+half of a counter to a bitmask over the column sets S whose factor is
+nonzero; the counter is pertinent when the two masks share no bit.  A factor
+is nonzero iff its block has a perfect matching, decided by the full Hall
+sweep ``_hall_violated`` (no row subset covers fewer columns than its size).
+That sweep is the block kernel that builds the tables; over all n rows it is
+the oracle the tests hold the lookup to, counter for counter.  Both the
+lookup and the peel are also validated exhaustively against the permanent.
 
 Counting partitions the counter range into equal slices; a slice's partial
 counts depend only on the slice, so any parallel schedule merges to the same
@@ -20,6 +32,7 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +43,6 @@ from .tables import ROUTE_ENUMERATION, CoefficientTable
 
 ENUMERATION_MAX_N = 5
 _BATCH_SIZE = 1 << 20
-
-_POPCOUNT5 = np.array([bin(v).count("1") for v in range(32)], dtype=np.uint8)
 
 _table_cache: dict[tuple[str, int], CoefficientTable] = {}
 
@@ -82,11 +93,12 @@ def count_pertinent(
     step = (1 << m) >> split_bits
     ranges = [(k * step, (k + 1) * step) for k in range(1 << split_bits)]
 
-    if workers <= 1:
+    pool_size = min(workers, len(ranges), os.cpu_count() or 1)
+    if pool_size <= 1:
         parts = [_counts_for_range(spec, lo, hi) for lo, hi in ranges]
     else:
         tasks = [(spec.family, spec.n, lo, hi) for lo, hi in ranges]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = [np.asarray(p, dtype=np.int64) for p in pool.map(_count_range_task, tasks)]
 
     counts = np.zeros(m + 1, dtype=np.int64)
@@ -160,8 +172,7 @@ def _counts_for_range(spec: TypeSpec, start: int, stop: int) -> np.ndarray:
         hi = min(lo + _BATCH_SIZE, stop)
         counters = np.arange(lo, hi, dtype=np.uint32)
         pert = pertinent_mask(spec, counters)
-        ones = np.bitwise_count(counters).astype(np.int64)
-        counts += np.bincount(ones[pert], minlength=m + 1)
+        counts += np.bincount(np.bitwise_count(counters[pert]), minlength=m + 1)
     return counts
 
 
@@ -169,7 +180,38 @@ def pertinent_mask(spec: TypeSpec, counters: np.ndarray) -> np.ndarray:
     """Pertinence of each uint32 assignment counter, as a boolean array."""
     if spec.family == "C":
         return acyclic_mask(_build_rows(spec, counters, include_fixed=False), spec.n)
-    return _hall_violated(_build_rows(spec, counters, include_fixed=True), spec.n)
+    top, bottom, top_bits = _split_tables(spec)
+    # numpy gathers about twice as fast with intp indices as with uint32
+    low = (counters & np.uint32((1 << top_bits) - 1)).astype(np.intp)
+    high = (counters >> np.uint32(top_bits)).astype(np.intp)
+    return (top[low] & bottom[high]) == 0
+
+
+@lru_cache(maxsize=None)
+def _split_tables(spec: TypeSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row-split tables of a family A/B spec: ``(top, bottom, top_bits)``.
+
+    Bit k of ``top[low]`` is set when the top h rows can be matched into the
+    k-th h-column set, bit k of ``bottom[high]`` when the bottom n - h rows
+    can be matched into its complement.  An empty bottom block (n = 1) is a
+    0x0 matrix with permanent 1, so all of its bits are set.
+    """
+    n = spec.n
+    h = (n + 1) // 2
+    top_bits = sum(r.bit_count() for r in spec.variable_mask.rows[:h])
+    lows = np.arange(1 << top_bits, dtype=np.uint32)
+    highs = np.arange(1 << (spec.m - top_bits), dtype=np.uint32) << np.uint32(top_bits)
+    top_rows = _build_rows(spec, lows, include_fixed=True)[:h]
+    bottom_rows = _build_rows(spec, highs, include_fixed=True)[h:]
+    column_sets = [sum(1 << j for j in s) for s in itertools.combinations(range(n), h)]
+    dtype = np.min_scalar_type((1 << len(column_sets)) - 1)
+    top = np.zeros(len(lows), dtype=dtype)
+    bottom = np.zeros(len(highs), dtype=dtype)
+    for k, cols in enumerate(column_sets):
+        rest = ((1 << n) - 1) ^ cols
+        top[~_hall_violated(top_rows & np.uint8(cols), h)] |= dtype.type(1 << k)
+        bottom[~_hall_violated(bottom_rows & np.uint8(rest), n - h)] |= dtype.type(1 << k)
+    return top, bottom, top_bits
 
 
 def _field_plan(spec: TypeSpec) -> list[list[tuple[int, int, int]]]:
@@ -192,29 +234,31 @@ def _field_plan(spec: TypeSpec) -> list[list[tuple[int, int, int]]]:
     return plan
 
 
-def _build_rows(spec: TypeSpec, counters: np.ndarray, include_fixed: bool) -> list[np.ndarray]:
+def _build_rows(spec: TypeSpec, counters: np.ndarray, include_fixed: bool) -> np.ndarray:
+    """Row bitmasks of each counter's matrix, shape ``(n, len(counters))``."""
     fixed = spec.fixed_rows()
-    rows = []
+    rows = np.zeros((spec.n, len(counters)), dtype=np.uint8)
     for i, runs in enumerate(_field_plan(spec)):
-        acc = np.zeros(counters.shape, dtype=np.uint8)
         for shift, width, col in runs:
             field = (counters >> np.uint32(shift)) & np.uint32((1 << width) - 1)
-            acc |= (field << np.uint32(col)).astype(np.uint8)
+            rows[i] |= (field << np.uint32(col)).astype(np.uint8)
         if include_fixed:
-            acc |= np.uint8(fixed[i])
-        rows.append(acc)
+            rows[i] |= np.uint8(fixed[i])
     return rows
 
 
-def _hall_violated(rows: list[np.ndarray], n: int) -> np.ndarray:
-    """True where some row subset covers fewer columns than its size."""
+def _hall_violated(rows: np.ndarray, n: int) -> np.ndarray:
+    """True where some subset of the n rows covers fewer columns than its size.
+
+    ``rows`` has shape ``(n, k)``; with n = 0 nothing is violated.
+    """
     unions: list = [None] * (1 << n)
-    unions[0] = np.zeros(rows[0].shape, dtype=np.uint8)
-    violated = np.zeros(rows[0].shape, dtype=bool)
+    unions[0] = np.zeros(rows.shape[1:], dtype=np.uint8)
+    violated = np.zeros(rows.shape[1:], dtype=bool)
     for s in range(1, 1 << n):
         low = s & -s
         unions[s] = unions[s ^ low] | rows[low.bit_length() - 1]
-        violated |= _POPCOUNT5[unions[s]] < s.bit_count()
+        violated |= np.bitwise_count(unions[s]) < s.bit_count()
     return violated
 
 

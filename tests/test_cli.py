@@ -66,6 +66,13 @@ class TestCount:
             run(capsys, "count", "--family", "Z", "--n", "3")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "count", "--family", "A", "--n", "2", "--workers", workers)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"
         code, _, _ = run(
@@ -186,6 +193,13 @@ class TestVerify:
     def test_nonpositive_n_is_usage_error(self, capsys, suite, n):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", suite, "--n", n)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "routes", "--n", "2", "--workers", workers)
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 

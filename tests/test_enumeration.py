@@ -16,6 +16,8 @@ from leastchange import (
     total_pertinent,
     verify_extremes,
 )
+from leastchange import enumeration
+from leastchange.enumeration import _build_rows, _hall_violated, pertinent_mask
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
 
@@ -100,6 +102,89 @@ class TestCountPertinent:
 
     def test_family_b_n1_single_zero_assignment(self):
         assert count_pertinent(TypeSpec("B", 1)).coeffs == (1,)
+
+
+class TestWorkerSchedule:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Run pool tasks in-process, recording each pool's ``max_workers``."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+        return sizes
+
+    def test_pool_capped_at_cpu_count(self, pool_sizes):
+        # 64 workers ask for 256 slices of A3; the pool gets the 4 cores
+        table = count_pertinent(TypeSpec("A", 3), workers=64, use_cache=False)
+        assert pool_sizes == [4]
+        assert table.coeffs == REFERENCE_COUNTS["A"][3]
+
+    def test_pool_capped_at_slice_count(self, pool_sizes):
+        # m = 1 allows only two slices, however many workers are asked for
+        table = count_pertinent(TypeSpec("A", 1), workers=3, use_cache=False)
+        assert pool_sizes == [2]
+        assert table.coeffs == REFERENCE_COUNTS["A"][1]
+
+    def test_unknown_cpu_count_runs_serially(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+        table = count_pertinent(TypeSpec("B", 3), workers=8, use_cache=False)
+        assert pool_sizes == []
+        assert table.coeffs == REFERENCE_COUNTS["B"][3]
+
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_split_bits_beyond_m(self, family, n):
+        spec = TypeSpec(family, n)
+        assert spec.m < 10
+        table = count_pertinent(spec, split_bits=10, use_cache=False)
+        assert table.coeffs == REFERENCE_COUNTS[family][n]
+
+    def test_a5_two_workers_equal_one(self):
+        serial = count_pertinent(TypeSpec("A", 5), workers=1, use_cache=False)
+        parallel = count_pertinent(TypeSpec("A", 5), workers=2, use_cache=False)
+        assert serial.coeffs == parallel.coeffs == REFERENCE_COUNTS["A"][5]
+
+
+def _full_sweep(spec, counters):
+    """Hall sweep over all n rows: the oracle of the row-split lookup."""
+    return _hall_violated(_build_rows(spec, counters, include_fixed=True), spec.n)
+
+
+class TestRowSplitLookup:
+    @pytest.mark.parametrize("family", "AB")
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_full_sweep_exhaustively(self, family, n):
+        # at n = 1 the bottom block is 0x0 (permanent 1), split like any other
+        spec = TypeSpec(family, n)
+        counters = np.arange(1 << spec.m, dtype=np.uint32)
+        assert np.array_equal(pertinent_mask(spec, counters), _full_sweep(spec, counters))
+
+    def test_matches_full_sweep_b5(self):
+        spec = TypeSpec("B", 5)
+        for lo in range(0, 1 << spec.m, 1 << 20):
+            counters = np.arange(lo, lo + (1 << 20), dtype=np.uint32)
+            assert np.array_equal(pertinent_mask(spec, counters), _full_sweep(spec, counters))
+
+    @pytest.mark.parametrize("index", [0, 16, 31])
+    def test_matches_full_sweep_a5_slice(self, index):
+        # first, middle and last of the 32 slices of 2^20 counters
+        spec = TypeSpec("A", 5)
+        counters = np.arange(index << 20, (index + 1) << 20, dtype=np.uint32)
+        assert np.array_equal(pertinent_mask(spec, counters), _full_sweep(spec, counters))
 
 
 class TestIndependentRecount:
