@@ -8,7 +8,6 @@ determinant as little as possible.
 
 from .dags import (
     Digraph,
-    census_by_pair_states,
     count_dags_by_edges,
     digraph_to_matrix,
     is_acyclic,

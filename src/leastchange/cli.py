@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import reference
-from .dags import count_dags_by_edges, is_acyclic, matrix_to_digraph
-from .enumeration import count_pertinent, default_workers
+from .dags import CENSUS_MAX_N, count_dags_by_edges, is_acyclic, matrix_to_digraph
+from .enumeration import ENUMERATION_MAX_N, count_pertinent
 from .errors import BudgetError, DimensionError, PatternError
 from .genfunc import gf_edge_table
 from .matrices import TypeSpec, permanent_expansion
@@ -52,16 +53,20 @@ def _compute(spec: TypeSpec, token: str, workers: int) -> CoefficientTable:
     raise ValueError(f"unknown route {token!r}")
 
 
+def _c_routes(n: int) -> list[str]:
+    """Family-C routes that reach n: enumeration and census up to their caps."""
+    tokens = ["enumeration"] if n <= ENUMERATION_MAX_N else []
+    if n <= CENSUS_MAX_N:
+        tokens.append("dag")
+    return tokens + ["gf"]
+
+
 def cmd_count(args, parser) -> int:
     spec = TypeSpec(args.family, args.n)
     if args.route in ("dag", "gf") and args.family != "C":
         parser.error(f"route {args.route} applies only to family C")
     if args.route == "all":
-        if args.family == "C":
-            # census and enumeration stop at n=5; the series route continues
-            tokens = (["enumeration", "dag"] if args.n <= 5 else []) + ["gf"]
-        else:
-            tokens = ["enumeration"]
+        tokens = _c_routes(args.n) if args.family == "C" else ["enumeration"]
     else:
         tokens = [args.route]
 
@@ -222,19 +227,27 @@ def _suite_tables(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_routes(args) -> list[tuple[str, bool, str]]:
+    n_max = args.n or 5
+    if n_max > CENSUS_MAX_N:
+        # beyond the census only the series route is left: nothing to agree with
+        raise DimensionError(
+            f"routes suite needs the DAG census, which supports n <= {CENSUS_MAX_N}, got {n_max}"
+        )
     out = []
-    for n in range(1, (args.n or 5) + 1):
+    for n in range(1, n_max + 1):
         spec = TypeSpec("C", n)
-        t_enum = count_pertinent(spec, workers=args.workers)
-        t_dag = count_dags_by_edges(n)
-        t_gf = gf_edge_table(n)
-        ok = t_enum.coeffs == t_dag.coeffs == t_gf.coeffs
+        coeffs = {_compute(spec, t, args.workers).coeffs for t in _c_routes(n)}
+        ok = len(coeffs) == 1
         out.append((f"routes agree C n={n}", ok, "" if ok else "mismatch"))
     return out
 
 
 def _suite_acyclic(args) -> list[tuple[str, bool, str]]:
     n_max = args.n or 4
+    if n_max > ENUMERATION_MAX_N:
+        raise DimensionError(
+            f"acyclic suite visits all 2^(n^2-n) masks, n <= {ENUMERATION_MAX_N}, got {n_max}"
+        )
     out = []
     for n in range(1, n_max + 1):
         spec = TypeSpec("C", n)
@@ -313,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--route", default="enumeration", choices=("enumeration", "dag", "gf", "all")
     )
     p_count.add_argument("--format", default="text", choices=("json", "csv", "text"))
-    p_count.add_argument("--workers", type=_positive_int, default=default_workers())
+    p_count.add_argument(
+        "--workers", type=_positive_int, default=os.environ.get("LEASTCHANGE_WORKERS", "1")
+    )
     p_count.add_argument("--out", default=None)
 
     p_curve = sub.add_parser("curve", help="probability curves for all families")
@@ -334,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--n", type=_positive_int, default=None)
-    p_verify.add_argument("--workers", type=_positive_int, default=default_workers())
+    p_verify.add_argument(
+        "--workers", type=_positive_int, default=os.environ.get("LEASTCHANGE_WORKERS", "1")
+    )
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
 
     return parser

@@ -261,11 +261,3 @@ def _hall_violated(rows: np.ndarray, n: int) -> np.ndarray:
         violated |= np.bitwise_count(unions[s]) < s.bit_count()
     return violated
 
-
-def default_workers() -> int:
-    """Worker count from the environment, else 1."""
-    value = os.environ.get("LEASTCHANGE_WORKERS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1

@@ -236,14 +236,15 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
         elif a == best:
             kept.append((d, combo))
     u_scaled = best if any(d == best for d, _ in kept) else -best
+    fixed = [[Fraction(v) for v in row] for row in _fixed_grid(spec)]
     members = []
     for d, combo in kept:
         if d != u_scaled:
             continue
-        rows = [[Fraction(1) if base_fixed else Fraction(0) for base_fixed in row] for row in _fixed_grid(spec)]
+        rows = [row[:] for row in fixed]
         for k, (i, j) in enumerate(positions):
             rows[i][j] = values[combo[k]]
-        members.append(RationalMatrix.from_rows(rows))
+        members.append(RationalMatrix(n, tuple(map(tuple, rows))))
     return Fraction(u_scaled, scale**n), tuple(members)
 
 
@@ -254,21 +255,10 @@ def _fixed_grid(spec: TypeSpec) -> list[list[int]]:
 
 @lru_cache(maxsize=256)
 def _pattern_scan(spec: TypeSpec) -> tuple[Fraction, tuple]:
-    _pattern_budget(spec)
-    best: Fraction | None = None
-    kept: list[tuple[Fraction, BinaryMatrix]] = []
-    for bits in range(1 << spec.m):
-        pattern = spec.matrix_from_bits(bits)
-        d = determinant(pattern)
-        a = abs(d)
-        if best is None or a < best:
-            best = a
-            kept = [(d, pattern)]
-        elif a == best:
-            kept.append((d, pattern))
-    u = best if any(d == best for d, _ in kept) else -best
-    members = tuple(p for d, p in kept if d == u)
-    return Fraction(u), members
+    """The discrete scan over {0, 1}, members as patterns in counter order."""
+    value, members = _discrete_scan(spec, ValueSet.discrete([0, 1]))
+    patterns = sorted((support(m) for m in members), key=spec.bits_from_matrix)
+    return value, tuple(patterns)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from leastchange import (
     attaining_matrices,
     attaining_patterns,
     build,
-    census_by_pair_states,
     check_inclusion,
     complement_identity_check,
     count_dags_by_edges,
@@ -283,7 +282,7 @@ def test_criterion_09_value_set_suite():
 def test_criterion_10_series_extension_beyond_tables():
     with criterion(10, "n=6 series polynomial against an independent census"):
         poly = edge_polynomial(6)
-        oracle = census_by_pair_states(6)
+        oracle = count_dags_by_edges(6)
         assert poly.degree == 15
         assert poly.coefficients[-1] == 720
         assert sum(poly.coefficients) == oracle.total

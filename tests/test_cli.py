@@ -73,6 +73,20 @@ class TestCount:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "abc"])
+    def test_bad_workers_environment_is_usage_error(self, capsys, monkeypatch, workers):
+        monkeypatch.setenv("LEASTCHANGE_WORKERS", workers)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "count", "--family", "A", "--n", "2")
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_workers_environment_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEASTCHANGE_WORKERS", "2")
+        code, out, _ = run(capsys, "count", "--family", "B", "--n", "3")
+        assert code == 0
+        assert "coeffs: 1 6 13 10 2" in out
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"
         code, _, _ = run(
@@ -94,6 +108,15 @@ class TestCount:
         assert code == 0
         assert out.count("coeffs:") == 1
         assert "route=gf" in out
+
+    def test_route_all_beyond_enumeration_cap_uses_census_and_series(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "C", "--n", "6", "--route", "all")
+        assert code == 0
+        headers = [l for l in out.splitlines() if l.startswith("family=")]
+        assert [h.split("route=")[1] for h in headers] == ["dag", "gf"]
+        coeffs = [l for l in out.splitlines() if l.startswith("coeffs:")]
+        assert len(coeffs) == 2 and coeffs[0] == coeffs[1]
+        assert "total: 3781503" in out
 
     def test_dimension_cap_reports_cleanly(self, capsys):
         code, _, err = run(capsys, "count", "--family", "A", "--n", "6")
@@ -187,6 +210,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "routes", "--n", "4")
         assert code == 0
         assert out.count("PASS") == 4
+
+    def test_routes_suite_beyond_census_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "routes", "--n", "7")
+        assert code == 2
+        assert out == ""
+        assert "DAG census" in err and "n <= 6" in err
+
+    def test_acyclic_suite_beyond_enumeration_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "acyclic", "--n", "6")
+        assert code == 2
+        assert out == ""
+        assert "n <= 5" in err
 
     @pytest.mark.parametrize("suite", ["routes", "acyclic"])
     @pytest.mark.parametrize("n", ["0", "-1"])
