@@ -19,7 +19,7 @@ from .errors import BudgetError, DimensionError, PatternError
 from .genfunc import gf_edge_table
 from .matrices import TypeSpec, permanent_expansion
 from .probability import emit_curve, family_tables, find_order_violation
-from .tables import CoefficientTable
+from .tables import ROUTE_TOKENS, CoefficientTable
 from .valuesets import (
     ValueSet,
     attaining_matrices,
@@ -70,29 +70,28 @@ def cmd_count(args, parser) -> int:
     else:
         tokens = [args.route]
 
-    tables = [(t, _compute(spec, t, args.workers)) for t in tokens]
+    tables = [_compute(spec, t, args.workers) for t in tokens]
     out = _open_out(args.out)
     try:
-        for token, table in tables:
-            _print_table(table, token, args.format, out)
+        for table in tables:
+            _print_table(table, args.format, out)
     finally:
         if args.out:
             out.close()
 
-    first = tables[0][1]
-    for token, table in tables[1:]:
-        if table.coeffs != first.coeffs:
+    for token, table in zip(tokens[1:], tables[1:]):
+        if table.coeffs != tables[0].coeffs:
             print(
-                f"route mismatch: {token} disagrees with {tables[0][0]}",
+                f"route mismatch: {token} disagrees with {tokens[0]}",
                 file=sys.stderr,
             )
             return 1
     return 0
 
 
-def _print_table(table: CoefficientTable, token: str, fmt: str, out) -> None:
+def _print_table(table: CoefficientTable, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(table.as_dict(route_token=token)) + "\n")
+        out.write(json.dumps(table.as_dict()) + "\n")
     elif fmt == "csv":
         out.write("i,count\n")
         for i, c in enumerate(table.coeffs):
@@ -100,7 +99,8 @@ def _print_table(table: CoefficientTable, token: str, fmt: str, out) -> None:
     else:
         spec = table.spec
         out.write(
-            f"family={spec.family} n={spec.n} m={spec.m} i_max={spec.i_max} route={token}\n"
+            f"family={spec.family} n={spec.n} m={spec.m} i_max={spec.i_max} "
+            f"route={ROUTE_TOKENS[table.route]}\n"
         )
         out.write("coeffs: " + " ".join(str(c) for c in table.coeffs) + "\n")
         out.write(f"total: {table.total}\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PatternError
+from .errors import DimensionError
 from .matrices import BinaryMatrix, TypeSpec
 from .tables import ROUTE_DAG_CENSUS, CoefficientTable
 
@@ -53,9 +53,7 @@ class Digraph:
 def matrix_to_digraph(matrix: BinaryMatrix) -> Digraph:
     """Digraph with adjacency M - I; requires a unit diagonal."""
     n = matrix.n
-    for i, row in enumerate(matrix.rows):
-        if not (row >> i) & 1:
-            raise PatternError(f"diagonal entry ({i + 1}, {i + 1}) must be 1")
+    TypeSpec("C", n).check_pattern(matrix)
     edges = {
         (i + 1, j + 1)
         for i, row in enumerate(matrix.rows)
@@ -101,10 +99,10 @@ def count_dags_by_edges(n: int) -> CoefficientTable:
     """
     if not 1 <= n <= CENSUS_MAX_N:
         raise DimensionError(f"DAG census supports 1..{CENSUS_MAX_N}, got {n}")
+    spec = TypeSpec("C", n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = n * n - n
     total_states = 3 ** len(pairs)
-    counts = np.zeros(m + 1, dtype=np.int64)
+    counts = np.zeros(spec.m + 1, dtype=np.int64)
     batch = 1 << 19
     for lo in range(0, total_states, batch):
         hi = min(lo + batch, total_states)
@@ -119,8 +117,11 @@ def count_dags_by_edges(n: int) -> CoefficientTable:
             adjacency[j] |= np.where(d == 2, np.uint8(1 << i), np.uint8(0))
             edge_count += (d != 0).astype(np.int64)
         acyclic = acyclic_mask(adjacency, n)
-        counts += np.bincount(edge_count[acyclic], minlength=m + 1)
-    return _census_table(n, [int(v) for v in counts])
+        counts += np.bincount(edge_count[acyclic], minlength=spec.m + 1)
+    coeffs = [int(v) for v in counts]
+    if any(coeffs[spec.i_max + 1 :]):
+        raise RuntimeError(f"acyclic digraph with more than {spec.i_max} edges at n={n}")
+    return CoefficientTable(spec, tuple(coeffs[: spec.i_max + 1]), ROUTE_DAG_CENSUS)
 
 
 def acyclic_mask(adjacency: list[np.ndarray], n: int) -> np.ndarray:
@@ -138,11 +139,3 @@ def acyclic_mask(adjacency: list[np.ndarray], n: int) -> np.ndarray:
             incoming |= np.where(live, adjacency[u], zero)
         alive &= incoming
     return alive == 0
-
-
-def _census_table(n: int, counts: list[int]) -> CoefficientTable:
-    spec = TypeSpec("C", n)
-    i_max = spec.i_max
-    if any(counts[i_max + 1 :]):
-        raise RuntimeError(f"acyclic digraph with more than {i_max} edges at n={n}")
-    return CoefficientTable(spec, tuple(counts[: i_max + 1]), ROUTE_DAG_CENSUS)

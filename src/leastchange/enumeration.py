@@ -1,11 +1,13 @@
 """Exhaustive census of pertinent matrices for each family.
 
-An assignment of the m variable elements is an m-bit counter whose bits map
-onto the variable positions in row-major order.  ``pertinent_mask`` is the
-one place that maps a family to its pertinence test, applied to a whole
-array of counters at once.  Family C (permanent one) uses the vectorized
-source peel of ``dags``: permanent one iff the off-diagonal digraph is
-acyclic.
+An assignment of the m variable elements is an m-bit counter.  Which bits
+fill which cells is read from ``TypeSpec.fields`` (bit k drives the k-th
+variable cell in row-major order); ``_build_rows`` splices a whole array of
+counters into row bitmasks with it, exactly as ``TypeSpec.matrix_from_bits``
+does for one counter.  ``pertinent_mask`` is the one place that maps a
+family to its pertinence test, applied to a whole array of counters at once.
+Family C (permanent one) uses the vectorized source peel of ``dags``:
+permanent one iff the off-diagonal digraph is acyclic.
 
 Families A and B (permanent zero) split the rows.  Laplace expansion along
 the top h = ceil(n/2) rows gives perm(M) = sum over the h-column sets S of
@@ -198,7 +200,7 @@ def _split_tables(spec: TypeSpec) -> tuple[np.ndarray, np.ndarray, int]:
     """
     n = spec.n
     h = (n + 1) // 2
-    top_bits = sum(r.bit_count() for r in spec.variable_mask.rows[:h])
+    top_bits = sum(width for runs in spec.fields[:h] for _, width, _ in runs)
     lows = np.arange(1 << top_bits, dtype=np.uint32)
     highs = np.arange(1 << (spec.m - top_bits), dtype=np.uint32) << np.uint32(top_bits)
     top_rows = _build_rows(spec, lows, include_fixed=True)[:h]
@@ -214,36 +216,15 @@ def _split_tables(spec: TypeSpec) -> tuple[np.ndarray, np.ndarray, int]:
     return top, bottom, top_bits
 
 
-def _field_plan(spec: TypeSpec) -> list[list[tuple[int, int, int]]]:
-    """Per-row (counter_shift, width, column_start) splices of the counter."""
-    plan: list[list[tuple[int, int, int]]] = []
-    offset = 0
-    for row_mask in spec.variable_mask.rows:
-        runs = []
-        j = 0
-        while j < spec.n:
-            if (row_mask >> j) & 1:
-                start = j
-                while j < spec.n and (row_mask >> j) & 1:
-                    j += 1
-                runs.append((offset, j - start, start))
-                offset += j - start
-            else:
-                j += 1
-        plan.append(runs)
-    return plan
-
-
 def _build_rows(spec: TypeSpec, counters: np.ndarray, include_fixed: bool) -> np.ndarray:
     """Row bitmasks of each counter's matrix, shape ``(n, len(counters))``."""
-    fixed = spec.fixed_rows()
     rows = np.zeros((spec.n, len(counters)), dtype=np.uint8)
-    for i, runs in enumerate(_field_plan(spec)):
+    for i, runs in enumerate(spec.fields):
         for shift, width, col in runs:
             field = (counters >> np.uint32(shift)) & np.uint32((1 << width) - 1)
             rows[i] |= (field << np.uint32(col)).astype(np.uint8)
         if include_fixed:
-            rows[i] |= np.uint8(fixed[i])
+            rows[i] |= np.uint8(spec.fixed_rows[i])
     return rows
 
 

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionError, PatternError
 
@@ -127,6 +128,11 @@ class TypeSpec:
     variable.  Family C: unit diagonal, off-diagonal elements variable.
     A matrix of the family is *pertinent* when its permanent equals the
     family target (0 for A and B, 1 for C).
+
+    This class is the one place that maps a family to its cells.  Every
+    element is either variable or fixed at 1; the layout properties below
+    are derived from ``variable_rows`` once per spec and shared by every
+    module that decodes an assignment counter.
     """
 
     family: str
@@ -138,27 +144,65 @@ class TypeSpec:
         if not 1 <= self.n <= MAX_DIMENSION:
             raise DimensionError(f"dimension {self.n} outside 1..{MAX_DIMENSION}")
 
-    @property
-    def variable_mask(self) -> BinaryMatrix:
-        n = self.n
-        full = (1 << n) - 1
+    @cached_property
+    def variable_rows(self) -> tuple[int, ...]:
+        """Row masks of the variable elements."""
+        full = (1 << self.n) - 1
         if self.family == "A":
-            rows = [full] * n
-        else:
-            rows = [full & ~(1 << i) for i in range(n)]
-            if self.family == "B":
-                rows[0] |= 1
-        return BinaryMatrix(n, tuple(rows))
+            return (full,) * self.n
+        rows = [full & ~(1 << i) for i in range(self.n)]
+        if self.family == "B":
+            rows[0] |= 1
+        return tuple(rows)
+
+    @cached_property
+    def fixed_rows(self) -> tuple[int, ...]:
+        """Row masks of the fixed (always 1) elements."""
+        full = (1 << self.n) - 1
+        return tuple(full & ~r for r in self.variable_rows)
+
+    @cached_property
+    def fields(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per-row ``(counter_shift, width, column_start)`` runs of the counter.
+
+        Bit k of an assignment counter drives the k-th variable cell in
+        row-major order, so each maximal run of variable cells in a row takes
+        ``width`` consecutive counter bits starting at ``counter_shift``.
+        """
+        plan = []
+        shift = 0
+        for row in self.variable_rows:
+            runs = []
+            j = 0
+            while row >> j:
+                width = 0
+                while (row >> (j + width)) & 1:
+                    width += 1
+                if width:
+                    runs.append((shift, width, j))
+                    shift += width
+                j += width + 1
+            plan.append(tuple(runs))
+        return tuple(plan)
+
+    @cached_property
+    def variable_positions(self) -> tuple[tuple[int, int], ...]:
+        """Variable cells in counter (row-major) order, 1-based."""
+        return tuple(
+            (i + 1, col + 1)
+            for i, runs in enumerate(self.fields)
+            for _, width, start in runs
+            for col in range(start, start + width)
+        )
 
     @property
+    def variable_mask(self) -> BinaryMatrix:
+        return BinaryMatrix(self.n, self.variable_rows)
+
+    @cached_property
     def m(self) -> int:
         """Number of variable elements."""
-        n = self.n
-        if self.family == "A":
-            return n * n
-        if self.family == "B":
-            return n * n - n + 1
-        return n * n - n
+        return sum(r.bit_count() for r in self.variable_rows)
 
     @property
     def j_min(self) -> int:
@@ -176,43 +220,29 @@ class TypeSpec:
     def target_permanent(self) -> int:
         return 1 if self.family == "C" else 0
 
-    def variable_positions(self) -> tuple[tuple[int, int], ...]:
-        """Variable cells in row-major order, 1-based."""
-        mask = self.variable_mask
-        return tuple(
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if mask.entry(i, j)
-        )
-
     def matrix_from_bits(self, bits: int) -> BinaryMatrix:
         """Assignment counter -> matrix: bit k drives the k-th variable cell."""
         if not 0 <= bits < (1 << self.m):
             raise ValueError(f"assignment counter {bits} outside 0..2^{self.m}-1")
-        rows = [fixed for fixed in self.fixed_rows()]
-        for k, (i, j) in enumerate(self.variable_positions()):
-            rows[i - 1] |= ((bits >> k) & 1) << (j - 1)
+        rows = list(self.fixed_rows)
+        for i, runs in enumerate(self.fields):
+            for shift, width, col in runs:
+                rows[i] |= ((bits >> shift) & ((1 << width) - 1)) << col
         return BinaryMatrix(self.n, tuple(rows))
 
     def bits_from_matrix(self, matrix: BinaryMatrix) -> int:
         """Inverse of :meth:`matrix_from_bits`; rejects broken fixed cells."""
         self.check_pattern(matrix)
         bits = 0
-        for k, (i, j) in enumerate(self.variable_positions()):
-            bits |= matrix.entry(i, j) << k
+        for row, runs in zip(matrix.rows, self.fields):
+            for shift, width, col in runs:
+                bits |= ((row >> col) & ((1 << width) - 1)) << shift
         return bits
-
-    def fixed_rows(self) -> tuple[int, ...]:
-        """Row masks of the fixed (always 1) elements."""
-        mask = self.variable_mask
-        full = (1 << self.n) - 1
-        return tuple(full & ~mask.rows[i] for i in range(self.n))
 
     def check_pattern(self, matrix: BinaryMatrix) -> None:
         if matrix.n != self.n:
             raise DimensionError(f"matrix is {matrix.n}x{matrix.n}, family needs n={self.n}")
-        for row, fixed in zip(matrix.rows, self.fixed_rows()):
+        for row, fixed in zip(matrix.rows, self.fixed_rows):
             if row & fixed != fixed:
                 raise PatternError(f"fixed element of family {self.family} is 0")
 

@@ -10,7 +10,6 @@ for cross-checking.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,8 +28,6 @@ class ProbabilityPolynomial:
         r = Fraction(r) if exact else r
         if r < 0 or r > 1:
             raise ValueError(f"r={r} outside [0, 1]")
-        if r == 0 or r == 1:
-            warnings.warn("evaluating at the boundary of (0, 1)", stacklevel=2)
         one = Fraction(1) if exact else 1.0
         s = one - r
         m = self.spec.m

@@ -58,14 +58,14 @@ class CoefficientTable:
     def total(self) -> int:
         return sum(self.coeffs)
 
-    def as_dict(self, route_token: str | None = None) -> dict:
+    def as_dict(self) -> dict:
         """JSON-ready view with a stable field order."""
         return {
             "family": self.spec.family,
             "n": self.spec.n,
             "m": self.spec.m,
             "i_max": self.spec.i_max,
-            "route": route_token or ROUTE_TOKENS[self.route],
+            "route": ROUTE_TOKENS[self.route],
             "coeffs": list(self.coeffs),
             "total": self.total,
         }

@@ -15,6 +15,11 @@ batched pertinence test of ``enumeration.pertinent_mask`` once over all 2^m
 patterns.  For a discrete set every assignment has positive probability, so
 plain minimization over assignments applies, with each determinant taken by
 the integer Bareiss kernel of ``matrices``.
+
+Which cells are variable and which are fixed at 1 comes from ``TypeSpec``
+alone: the scans fill its ``variable_positions`` in counter order, patterns
+are decoded and sorted by its counter, and a member's nonzero variable
+elements are counted against its ``variable_rows``.
 """
 
 from __future__ import annotations
@@ -132,11 +137,8 @@ class AttainingSet:
 
     def nonzero_count(self, member) -> int:
         """Number of nonzero variable elements of a member."""
-        pattern = support(member)
-        count = 0
-        for i, j in self.spec.variable_positions():
-            count += pattern.entry(i, j)
-        return count
+        rows = zip(support(member).rows, self.spec.variable_rows)
+        return sum((row & variable).bit_count() for row, variable in rows)
 
     def partition(self) -> dict[int, tuple]:
         """Members grouped by number of nonzero variable elements."""
@@ -216,12 +218,9 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
     n = spec.n
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [int(v * scale) for v in values]
-    positions = [(i - 1, j - 1) for i, j in spec.variable_positions()]
-    base = [[0] * n for _ in range(n)]
-    for i, fixed in enumerate(spec.fixed_rows()):
-        for j in range(n):
-            if (fixed >> j) & 1:
-                base[i][j] = scale
+    positions = [(i - 1, j - 1) for i, j in spec.variable_positions]
+    # every cell off the variable positions is fixed at 1
+    base = [[scale] * n for _ in range(n)]
 
     best: int | None = None
     kept: list[tuple[int, tuple[int, ...]]] = []
@@ -236,21 +235,16 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
         elif a == best:
             kept.append((d, combo))
     u_scaled = best if any(d == best for d, _ in kept) else -best
-    fixed = [[Fraction(v) for v in row] for row in _fixed_grid(spec)]
+    one = Fraction(1)
     members = []
     for d, combo in kept:
         if d != u_scaled:
             continue
-        rows = [row[:] for row in fixed]
+        rows = [[one] * n for _ in range(n)]
         for k, (i, j) in enumerate(positions):
             rows[i][j] = values[combo[k]]
         members.append(RationalMatrix(n, tuple(map(tuple, rows))))
     return Fraction(u_scaled, scale**n), tuple(members)
-
-
-def _fixed_grid(spec: TypeSpec) -> list[list[int]]:
-    n = spec.n
-    return [[(fixed >> j) & 1 for j in range(n)] for fixed in spec.fixed_rows()]
 
 
 @lru_cache(maxsize=256)
@@ -360,8 +354,8 @@ def complement_identity_check() -> ComplementReport:
 
     Continuous side: probability that det = 1, summed over pertinent support
     classes with weight r^i (1-r)^(m-i).  Discrete side: probability that
-    det = 0, summed over attaining assignments with cell weights w*r or 1-r.
-    Their polynomial sum must be exactly 1.
+    det = 0, summed over every assignment counter of the spec with cell
+    weights w*r or 1-r.  Their polynomial sum must be exactly 1.
     """
     spec = TypeSpec("C", 2)
     x_cnt = ValueSet.continuous(0, 1)
@@ -377,18 +371,11 @@ def complement_identity_check() -> ComplementReport:
         cnt_poly = cnt_poly + r**i * one_minus_r ** (spec.m - i)
 
     dis_poly = Polynomial.zero()
-    positions = spec.variable_positions()
-    for combo in itertools.product(x_dis.values, repeat=spec.m):
-        rows = [[Fraction(v) for v in row] for row in _fixed_grid(spec)]
-        term = Polynomial.one()
-        for value, (i, j) in zip(combo, positions):
-            rows[i - 1][j - 1] = value
-            if value == 0:
-                term = term * one_minus_r
-            else:
-                term = term * (x_dis.weight(value) * r)
-        if determinant(RationalMatrix.from_rows(rows)) == 0:
-            dis_poly = dis_poly + term
+    weighted_r = x_dis.weight(1) * r
+    for bits in range(1 << spec.m):
+        if determinant(spec.matrix_from_bits(bits)) == 0:
+            i = bits.bit_count()
+            dis_poly = dis_poly + weighted_r**i * one_minus_r ** (spec.m - i)
 
     total = cnt_poly + dis_poly
     return ComplementReport(

@@ -9,6 +9,8 @@ from leastchange import (
     DimensionError,
     PatternError,
     TypeSpec,
+    ValueSet,
+    attaining_matrices,
     count_pertinent,
     has_perfect_matching,
     is_pertinent,
@@ -162,6 +164,54 @@ class TestWorkerSchedule:
 def _full_sweep(spec, counters):
     """Hall sweep over all n rows: the oracle of the row-split lookup."""
     return _hall_violated(_build_rows(spec, counters, include_fixed=True), spec.n)
+
+
+def _row_major_rows(spec, bits):
+    """The family definition read cell by cell, independent of ``TypeSpec``.
+
+    Every cell is a fixed 1 or the next variable cell in row-major order,
+    and bit k of the counter drives the k-th variable cell.
+    """
+    rows, k = [], 0
+    for i in range(spec.n):
+        row = 0
+        for j in range(spec.n):
+            variable = i != j or spec.family == "A" or (spec.family == "B" and i == 0)
+            if variable:
+                row |= ((bits >> k) & 1) << j
+                k += 1
+            else:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+class TestOneLayout:
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_counter_decoders_share_the_layout(self, family, n):
+        spec = TypeSpec(family, n)
+        counters = np.arange(1 << spec.m, dtype=np.uint32)
+        built = _build_rows(spec, counters, include_fixed=True).T.tolist()
+        for bits in range(1 << spec.m):
+            matrix = spec.matrix_from_bits(bits)
+            assert matrix.rows == _row_major_rows(spec, bits)
+            assert tuple(built[bits]) == matrix.rows
+            assert spec.bits_from_matrix(matrix) == bits
+
+    @pytest.mark.parametrize("family", "ABC")
+    def test_nonzero_count_is_counter_popcount(self, family):
+        spec = TypeSpec(family, 3)
+        attaining = attaining_matrices(spec, ValueSet.continuous(0, 1))
+        counters = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
+        assert len(counters) == len(attaining) > 0
+        for bits, member in zip(counters, attaining.members):
+            assert attaining.nonzero_count(member) == int(bits).bit_count()
+
+    def test_layout_is_computed_once(self):
+        spec = TypeSpec("B", 4)
+        for name in ("variable_rows", "fixed_rows", "fields", "variable_positions"):
+            assert getattr(spec, name) is getattr(spec, name)
 
 
 class TestRowSplitLookup:
