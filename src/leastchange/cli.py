@@ -19,7 +19,13 @@ from .errors import BudgetError, DimensionError, PatternError
 from .genfunc import gf_edge_table
 from .matrices import TypeSpec, permanent_expansion
 from .probability import emit_curve, family_tables, find_order_violation
-from .tables import ROUTE_TOKENS, CoefficientTable
+from .tables import (
+    ROUTE_DAG_CENSUS,
+    ROUTE_ENUMERATION,
+    ROUTE_GENERATING_FUNCTION,
+    ROUTES,
+    CoefficientTable,
+)
 from .valuesets import (
     ValueSet,
     attaining_matrices,
@@ -43,34 +49,34 @@ VERIFY_SUITES = (
 )
 
 
-def _compute(spec: TypeSpec, token: str, workers: int) -> CoefficientTable:
-    if token == "enumeration":
-        return count_pertinent(spec, workers=workers)
-    if token == "dag":
+def _compute(spec: TypeSpec, route: str) -> CoefficientTable:
+    if route == ROUTE_ENUMERATION:
+        return count_pertinent(spec)
+    if route == ROUTE_DAG_CENSUS:
         return count_dags_by_edges(spec.n)
-    if token == "gf":
+    if route == ROUTE_GENERATING_FUNCTION:
         return gf_edge_table(spec.n)
-    raise ValueError(f"unknown route {token!r}")
+    raise ValueError(f"unknown route {route!r}")
 
 
 def _c_routes(n: int) -> list[str]:
     """Family-C routes that reach n: enumeration and census up to their caps."""
-    tokens = ["enumeration"] if n <= ENUMERATION_MAX_N else []
+    routes = [ROUTE_ENUMERATION] if n <= ENUMERATION_MAX_N else []
     if n <= CENSUS_MAX_N:
-        tokens.append("dag")
-    return tokens + ["gf"]
+        routes.append(ROUTE_DAG_CENSUS)
+    return routes + [ROUTE_GENERATING_FUNCTION]
 
 
 def cmd_count(args, parser) -> int:
     spec = TypeSpec(args.family, args.n)
-    if args.route in ("dag", "gf") and args.family != "C":
+    if args.route in (ROUTE_DAG_CENSUS, ROUTE_GENERATING_FUNCTION) and args.family != "C":
         parser.error(f"route {args.route} applies only to family C")
     if args.route == "all":
-        tokens = _c_routes(args.n) if args.family == "C" else ["enumeration"]
+        routes = _c_routes(args.n) if args.family == "C" else [ROUTE_ENUMERATION]
     else:
-        tokens = [args.route]
+        routes = [args.route]
 
-    tables = [_compute(spec, t, args.workers) for t in tokens]
+    tables = [_compute(spec, route) for route in routes]
     out = _open_out(args.out)
     try:
         for table in tables:
@@ -79,10 +85,10 @@ def cmd_count(args, parser) -> int:
         if args.out:
             out.close()
 
-    for token, table in zip(tokens[1:], tables[1:]):
+    for route, table in zip(routes[1:], tables[1:]):
         if table.coeffs != tables[0].coeffs:
             print(
-                f"route mismatch: {token} disagrees with {tokens[0]}",
+                f"route mismatch: {route} disagrees with {routes[0]}",
                 file=sys.stderr,
             )
             return 1
@@ -100,7 +106,7 @@ def _print_table(table: CoefficientTable, fmt: str, out) -> None:
         spec = table.spec
         out.write(
             f"family={spec.family} n={spec.n} m={spec.m} i_max={spec.i_max} "
-            f"route={ROUTE_TOKENS[table.route]}\n"
+            f"route={table.route}\n"
         )
         out.write("coeffs: " + " ".join(str(c) for c in table.coeffs) + "\n")
         out.write(f"total: {table.total}\n")
@@ -219,7 +225,7 @@ def _suite_tables(args) -> list[tuple[str, bool, str]]:
     out = []
     for family, rows in reference.REFERENCE_COUNTS.items():
         for n, expected in rows.items():
-            table = count_pertinent(TypeSpec(family, n), workers=args.workers)
+            table = count_pertinent(TypeSpec(family, n))
             ok = table.coeffs == expected
             detail = "" if ok else f"enumerated {table.coeffs}"
             out.append((f"table {family} n={n}", ok, detail))
@@ -236,7 +242,7 @@ def _suite_routes(args) -> list[tuple[str, bool, str]]:
     out = []
     for n in range(1, n_max + 1):
         spec = TypeSpec("C", n)
-        coeffs = {_compute(spec, t, args.workers).coeffs for t in _c_routes(n)}
+        coeffs = {_compute(spec, route).coeffs for route in _c_routes(n)}
         ok = len(coeffs) == 1
         out.append((f"routes agree C n={n}", ok, "" if ok else "mismatch"))
     return out
@@ -294,7 +300,7 @@ def _suite_oeis(args) -> list[tuple[str, bool, str]]:
     out = []
     for family, totals in reference.PUBLISHED_TOTALS.items():
         for n, expected in enumerate(totals, start=1):
-            total = count_pertinent(TypeSpec(family, n), workers=args.workers).total
+            total = count_pertinent(TypeSpec(family, n)).total
             ok = total == expected
             detail = f"enumerated {total}" + ("" if ok else f", published {expected}")
             out.append((f"total {family} n={n}", ok, detail))
@@ -322,13 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="coefficient table for one family")
     p_count.add_argument("--family", required=True, choices=("A", "B", "C"))
     p_count.add_argument("--n", required=True, type=int)
-    p_count.add_argument(
-        "--route", default="enumeration", choices=("enumeration", "dag", "gf", "all")
-    )
+    p_count.add_argument("--route", default=ROUTE_ENUMERATION, choices=ROUTES + ("all",))
     p_count.add_argument("--format", default="text", choices=("json", "csv", "text"))
-    p_count.add_argument(
-        "--workers", type=_positive_int, default=os.environ.get("LEASTCHANGE_WORKERS", "1")
-    )
+    _add_workers(p_count)
     p_count.add_argument("--out", default=None)
 
     p_curve = sub.add_parser("curve", help="probability curves for all families")
@@ -342,19 +344,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_least.add_argument(
         "--values",
         required=True,
-        help="0,1/2@1/2,2@1/2 (weights optional) or an interval [0:2]",
+        help="0,1/2@1/2,2@1/2 (weights optional) or an interval [0:2]; "
+        "a set whose first entry is negative is written --values=-1,0,1",
     )
     p_least.add_argument("--format", default="text", choices=("json", "text"))
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--n", type=_positive_int, default=None)
-    p_verify.add_argument(
-        "--workers", type=_positive_int, default=os.environ.get("LEASTCHANGE_WORKERS", "1")
-    )
+    _add_workers(p_verify)
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
 
     return parser
+
+
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=os.environ.get("LEASTCHANGE_WORKERS", "1"),
+        help="accepted for compatibility (default $LEASTCHANGE_WORKERS or 1); "
+        "has no effect, counting runs in one process",
+    )
 
 
 def main(argv=None) -> int:

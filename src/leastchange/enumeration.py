@@ -23,16 +23,19 @@ That sweep is the block kernel that builds the tables; over all n rows it is
 the oracle the tests hold the lookup to, counter for counter.  Both the
 lookup and the peel are also validated exhaustively against the permanent.
 
-Counting partitions the counter range into equal slices; a slice's partial
-counts depend only on the slice, so any parallel schedule merges to the same
-table by elementwise addition.
+Counting A and B visits no full counter: each half is tallied by (mask,
+ones), and a top mask fits a bottom mask b when it lies inside ~b, so with
+Z the subset-sum (zeta) transform of the top tally the table is the sum over
+b of Z[~b] convolved in the ones index with the bottom tally G[b]
+(Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets Mobius", STOC 2007).
+Family C is counted by the batched scan of every counter, which is also the
+oracle the tests hold the A/B count to.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,39 +76,17 @@ def has_perfect_matching(matrix: BinaryMatrix) -> bool:
     return True
 
 
-def count_pertinent(
-    spec: TypeSpec,
-    workers: int = 1,
-    split_bits: int | None = None,
-    use_cache: bool = True,
-) -> CoefficientTable:
-    """Count pertinent matrices by number of one-valued variable elements.
-
-    The result is bit-identical for every ``workers``/``split_bits`` choice.
-    """
-    _check_enumeration_dim(spec)
+def count_pertinent(spec: TypeSpec, use_cache: bool = True) -> CoefficientTable:
+    """Count pertinent matrices by number of one-valued variable elements."""
+    if spec.n > ENUMERATION_MAX_N:
+        raise DimensionError(
+            f"exhaustive enumeration supports n <= {ENUMERATION_MAX_N}, got {spec.n}"
+        )
     key = (spec.family, spec.n)
     if use_cache and key in _table_cache:
         return _table_cache[key]
 
-    m = spec.m
-    if split_bits is None:
-        split_bits = 0 if workers <= 1 else (max(workers, 1) * 4 - 1).bit_length()
-    split_bits = min(split_bits, m)
-    step = (1 << m) >> split_bits
-    ranges = [(k * step, (k + 1) * step) for k in range(1 << split_bits)]
-
-    pool_size = min(workers, len(ranges), os.cpu_count() or 1)
-    if pool_size <= 1:
-        parts = [_counts_for_range(spec, lo, hi) for lo, hi in ranges]
-    else:
-        tasks = [(spec.family, spec.n, lo, hi) for lo, hi in ranges]
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = [np.asarray(p, dtype=np.int64) for p in pool.map(_count_range_task, tasks)]
-
-    counts = np.zeros(m + 1, dtype=np.int64)
-    for part in parts:
-        counts += part
+    counts = _scan_counts(spec) if spec.family == "C" else _split_counts(spec)
     coeffs = [int(v) for v in counts]
     if any(coeffs[spec.i_max + 1 :]):
         raise RuntimeError(
@@ -154,27 +135,38 @@ def verify_extremes(spec: TypeSpec) -> ExtremesReport:
     return ExtremesReport(spec, max_ones, witnesses)
 
 
-def _check_enumeration_dim(spec: TypeSpec) -> None:
-    if spec.n > ENUMERATION_MAX_N:
-        raise DimensionError(
-            f"exhaustive enumeration supports n <= {ENUMERATION_MAX_N}, got {spec.n}"
-        )
-
-
-def _count_range_task(args) -> list[int]:
-    family, n, lo, hi = args
-    return _counts_for_range(TypeSpec(family, n), lo, hi).tolist()
-
-
-def _counts_for_range(spec: TypeSpec, start: int, stop: int) -> np.ndarray:
-    """Histogram of one-counts over pertinent assignments in [start, stop)."""
+def _scan_counts(spec: TypeSpec) -> np.ndarray:
+    """Histogram of one-counts over the pertinent counters, batch by batch."""
     m = spec.m
     counts = np.zeros(m + 1, dtype=np.int64)
-    for lo in range(start, stop, _BATCH_SIZE):
-        hi = min(lo + _BATCH_SIZE, stop)
-        counters = np.arange(lo, hi, dtype=np.uint32)
+    for lo in range(0, 1 << m, _BATCH_SIZE):
+        counters = np.arange(lo, min(lo + _BATCH_SIZE, 1 << m), dtype=np.uint32)
         pert = pertinent_mask(spec, counters)
         counts += np.bincount(np.bitwise_count(counters[pert]), minlength=m + 1)
+    return counts
+
+
+def _split_counts(spec: TypeSpec) -> np.ndarray:
+    """The same histogram for family A/B, from the half tallies alone."""
+    top, bottom, _ = _split_tables(spec)
+    column_sets = math.comb(spec.n, (spec.n + 1) // 2)
+    full = (1 << column_sets) - 1
+    tallies = []
+    for half in (top, bottom):
+        ones = np.bitwise_count(np.arange(len(half), dtype=np.uint32))
+        tally = np.zeros((full + 1, int(ones[-1]) + 1), dtype=np.int64)
+        np.add.at(tally, (half, ones), 1)
+        tallies.append(tally)
+    zeta, bottom_tally = tallies
+    # zeta[s] becomes the sum of the top tally over every mask inside s
+    for bit in range(column_sets):
+        pairs = zeta.reshape(-1, 2, 1 << bit, zeta.shape[1])
+        pairs[:, 1] += pairs[:, 0]
+    # joint[i, j]: pairs of disjoint masks with i ones on top and j below
+    joint = zeta[full ^ np.arange(full + 1)].T @ bottom_tally
+    counts = np.zeros(spec.m + 1, dtype=np.int64)
+    for i, row in enumerate(joint):
+        counts[i : i + len(row)] += row
     return counts
 
 

@@ -7,17 +7,11 @@ from dataclasses import dataclass
 from .matrices import TypeSpec
 
 ROUTE_ENUMERATION = "enumeration"
-ROUTE_DAG_CENSUS = "dag_census"
-ROUTE_GENERATING_FUNCTION = "generating_function"
+ROUTE_DAG_CENSUS = "dag"
+ROUTE_GENERATING_FUNCTION = "gf"
 
+# each route's name is also its command-line token and its JSON value
 ROUTES = (ROUTE_ENUMERATION, ROUTE_DAG_CENSUS, ROUTE_GENERATING_FUNCTION)
-
-# short tokens used in command-line flags and JSON payloads
-ROUTE_TOKENS = {
-    ROUTE_ENUMERATION: "enumeration",
-    ROUTE_DAG_CENSUS: "dag",
-    ROUTE_GENERATING_FUNCTION: "gf",
-}
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class CoefficientTable:
             "n": self.spec.n,
             "m": self.spec.m,
             "i_max": self.spec.i_max,
-            "route": ROUTE_TOKENS[self.route],
+            "route": self.route,
             "coeffs": list(self.coeffs),
             "total": self.total,
         }

@@ -19,7 +19,7 @@ the integer Bareiss kernel of ``matrices``.
 Which cells are variable and which are fixed at 1 comes from ``TypeSpec``
 alone: the scans fill its ``variable_positions`` in counter order, patterns
 are decoded and sorted by its counter, and a member's nonzero variable
-elements are counted against its ``variable_rows``.
+elements are counted over its ``variable_positions``.
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ class AttainingSet:
 
     def nonzero_count(self, member) -> int:
         """Number of nonzero variable elements of a member."""
-        rows = zip(support(member).rows, self.spec.variable_rows)
-        return sum((row & variable).bit_count() for row, variable in rows)
+        return sum(member.entry(i, j) != 0 for i, j in self.spec.variable_positions)
 
     def partition(self) -> dict[int, tuple]:
         """Members grouped by number of nonzero variable elements."""
@@ -199,8 +198,7 @@ def least_determinant_binary(spec: TypeSpec, xset: ValueSet) -> Fraction:
 def attaining_patterns(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
     """Binary matrices attaining the least binary determinant value."""
     if xset.kind == "continuous":
-        attaining = attaining_matrices(spec, xset)
-        return AttainingSet(spec, xset, attaining.value, attaining.members)
+        return attaining_matrices(spec, xset)
     value, members = _pattern_scan(spec)
     return AttainingSet(spec, xset, value, members)
 

@@ -170,6 +170,12 @@ class TestLeast:
         assert payload["least_det"] == "1"
         assert payload["attaining"] == 3
 
+    def test_negative_first_entry_written_with_equals(self, capsys):
+        code, out, _ = run(capsys, "least", "--family", "C", "--n", "2", "--values=-1,0,1")
+        assert code == 0
+        assert "least_det: 0" in out.splitlines()
+        assert "attaining: 2" in out.splitlines()
+
     def test_bad_literal_is_usage_error(self, capsys):
         cases = [
             ("1,2", "must contain 0"),

@@ -18,8 +18,13 @@ from leastchange import (
     total_pertinent,
     verify_extremes,
 )
-from leastchange import enumeration
-from leastchange.enumeration import _build_rows, _hall_violated, pertinent_mask
+from leastchange.enumeration import (
+    _build_rows,
+    _hall_violated,
+    _scan_counts,
+    _split_counts,
+    pertinent_mask,
+)
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
 
@@ -81,12 +86,6 @@ class TestCountPertinent:
         with pytest.raises(DimensionError):
             count_pertinent(TypeSpec("A", 6))
 
-    def test_worker_and_split_invariance(self):
-        base = count_pertinent(TypeSpec("A", 3), use_cache=False)
-        split = count_pertinent(TypeSpec("A", 3), split_bits=5, use_cache=False)
-        parallel = count_pertinent(TypeSpec("A", 3), workers=2, use_cache=False)
-        assert base.coeffs == split.coeffs == parallel.coeffs
-
     def test_totals(self):
         assert [total_pertinent(TypeSpec("A", n)) for n in range(1, 5)] == [
             1, 9, 265, 27713,
@@ -106,59 +105,13 @@ class TestCountPertinent:
         assert count_pertinent(TypeSpec("B", 1)).coeffs == (1,)
 
 
-class TestWorkerSchedule:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Run pool tasks in-process, recording each pool's ``max_workers``."""
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
-        return sizes
-
-    def test_pool_capped_at_cpu_count(self, pool_sizes):
-        # 64 workers ask for 256 slices of A3; the pool gets the 4 cores
-        table = count_pertinent(TypeSpec("A", 3), workers=64, use_cache=False)
-        assert pool_sizes == [4]
-        assert table.coeffs == REFERENCE_COUNTS["A"][3]
-
-    def test_pool_capped_at_slice_count(self, pool_sizes):
-        # m = 1 allows only two slices, however many workers are asked for
-        table = count_pertinent(TypeSpec("A", 1), workers=3, use_cache=False)
-        assert pool_sizes == [2]
-        assert table.coeffs == REFERENCE_COUNTS["A"][1]
-
-    def test_unknown_cpu_count_runs_serially(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-        table = count_pertinent(TypeSpec("B", 3), workers=8, use_cache=False)
-        assert pool_sizes == []
-        assert table.coeffs == REFERENCE_COUNTS["B"][3]
-
-    @pytest.mark.parametrize("family", "ABC")
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_split_bits_beyond_m(self, family, n):
+class TestSplitCount:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("family", "AB")
+    def test_split_equals_scan(self, family, n):
+        # the batched per-counter scan is the oracle of the half-tally count
         spec = TypeSpec(family, n)
-        assert spec.m < 10
-        table = count_pertinent(spec, split_bits=10, use_cache=False)
-        assert table.coeffs == REFERENCE_COUNTS[family][n]
-
-    def test_a5_two_workers_equal_one(self):
-        serial = count_pertinent(TypeSpec("A", 5), workers=1, use_cache=False)
-        parallel = count_pertinent(TypeSpec("A", 5), workers=2, use_cache=False)
-        assert serial.coeffs == parallel.coeffs == REFERENCE_COUNTS["A"][5]
+        assert np.array_equal(_split_counts(spec), _scan_counts(spec))
 
 
 def _full_sweep(spec, counters):
