@@ -33,7 +33,8 @@ spec = TypeSpec("A", 2)
 p_a2 = build(spec, count_pertinent(spec))
 print("P_A2(1/2) =", p_a2.evaluate(Fraction(1, 2)), "(times 2^4:",
       p_a2.evaluate(Fraction(1, 2)) * 16, "pertinent matrices)")
-print("P_A2 in plain powers of r:", p_a2.monomial_coefficients(), "= (1 - r^2)^2")
+print("P_A2 as (E(i), power of r, power of 1-r):", p_a2.bernstein_terms(),
+      "= (1 - r^2)^2")
 
 # ---------------------------------------------------------------------------
 # The n=5 curves.  CSV columns are r, P_A, P_B, P_C with 17-significant-digit

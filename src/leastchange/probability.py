@@ -2,14 +2,15 @@
 
 With E(i) counting pertinent matrices that have exactly i one-valued
 variable elements, the probability is sum_i E(i) * r^i * (1-r)^(m-i).
-The weighted-power basis is kept as the primary representation (it is
-numerically stable on [0, 1]); expansion into plain monomials exists only
-for cross-checking.
+The weighted-power basis is the only representation (it is numerically
+stable on [0, 1]).  At r = p/q the value is N / q^m with the integer
+N = sum_i E(i) p^i (q-p)^(m-i), so exact evaluation is one Horner pass in
+integers and a single Fraction at the end.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,44 +24,30 @@ class ProbabilityPolynomial:
     table: CoefficientTable
 
     def evaluate(self, r):
-        """Exact for Fraction/int arguments, floating point for float."""
-        exact = not isinstance(r, float)
-        r = Fraction(r) if exact else r
-        if r < 0 or r > 1:
+        """P(r): a reduced Fraction for rational r (Fraction, int, Decimal),
+        a float for other reals (float, numpy floats)."""
+        exact = isinstance(r, numbers.Rational) or not isinstance(r, numbers.Real)
+        r = Fraction(r) if exact else float(r)
+        if not 0 <= r <= 1:
             raise ValueError(f"r={r} outside [0, 1]")
-        one = Fraction(1) if exact else 1.0
-        s = one - r
-        m = self.spec.m
-        r_pow = [one]
-        s_pow = [one]
-        for _ in range(m):
-            r_pow.append(r_pow[-1] * r)
-            s_pow.append(s_pow[-1] * s)
-        total = sum(c * r_pow[i] * s_pow[m - i] for i, c in enumerate(self.table.coeffs))
-        return total if exact else float(total)
+        if not exact:
+            return float(self._homogeneous(r, 1.0 - r))
+        p, q = r.numerator, r.denominator
+        return Fraction(self._homogeneous(p, q - p), q**self.spec.m)
+
+    def _homogeneous(self, p, s):
+        """sum_i E(i) p^i s^(m-i), by Horner in p carrying the powers of s."""
+        coeffs = self.table.coeffs
+        acc, s_pow = 0, s ** (self.spec.m + 1 - len(coeffs))
+        for c in reversed(coeffs):
+            acc = acc * p + c * s_pow
+            s_pow *= s
+        return acc
 
     def bernstein_terms(self) -> tuple[tuple[int, int, int], ...]:
         """(coefficient, power of r, power of 1-r) triples, ascending i."""
         m = self.spec.m
         return tuple((c, i, m - i) for i, c in enumerate(self.table.coeffs))
-
-    def monomial_coefficients(self) -> tuple[int, ...]:
-        """Exact expansion into powers of r, degree 0..m."""
-        m = self.spec.m
-        out = [0] * (m + 1)
-        for i, c in enumerate(self.table.coeffs):
-            if c == 0:
-                continue
-            for k in range(m - i + 1):
-                out[i + k] += c * math.comb(m - i, k) * (-1) ** k
-        return tuple(out)
-
-    def evaluate_monomial(self, r) -> Fraction:
-        """Horner evaluation of the monomial expansion; cross-check path."""
-        acc = Fraction(0)
-        for c in reversed(self.monomial_coefficients()):
-            acc = acc * r + c
-        return acc
 
 
 def build(spec: TypeSpec, table: CoefficientTable) -> ProbabilityPolynomial:

@@ -1,8 +1,13 @@
 import io
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import evaluate_monomial, evaluate_power_sum, monomial_coefficients
 
 from leastchange import (
     TypeSpec,
@@ -13,6 +18,7 @@ from leastchange import (
     find_order_violation,
     gf_edge_table,
 )
+from leastchange.probability import CSV_HEADER
 
 
 def poly(family, n):
@@ -75,6 +81,22 @@ class TestEvaluate:
         assert isinstance(value, Fraction)
         assert isinstance(poly("B", 3).evaluate(0.25), float)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            poly("A", 2).evaluate(float("nan"))
+
+    def test_numpy_float_takes_float_branch(self):
+        p = poly("B", 3)
+        value = p.evaluate(np.float32(0.25))
+        assert type(value) is float
+        assert value == p.evaluate(0.25)
+
+    def test_decimal_and_int_stay_exact(self):
+        p = poly("B", 3)
+        assert p.evaluate(Decimal("0.25")) == p.evaluate(Fraction(1, 4))
+        assert isinstance(p.evaluate(Decimal("0.25")), Fraction)
+        assert isinstance(p.evaluate(0), Fraction)
+
     @pytest.mark.parametrize("family", "ABC")
     @pytest.mark.parametrize("n", range(1, 5))
     def test_normalization_anchor(self, family, n):
@@ -100,11 +122,11 @@ class TestEvaluate:
 class TestMonomialBasis:
     def test_family_a_n2_expansion(self):
         # (1 - r^2)^2
-        assert poly("A", 2).monomial_coefficients() == (1, 0, -2, 0, 1)
+        assert monomial_coefficients(poly("A", 2)) == (1, 0, -2, 0, 1)
 
     def test_family_b_n2_expansion(self):
         # (1 - r)^2 (1 + r)
-        assert poly("B", 2).monomial_coefficients() == (1, -1, -1, 1)
+        assert monomial_coefficients(poly("B", 2)) == (1, -1, -1, 1)
 
     @pytest.mark.parametrize("family", "ABC")
     @pytest.mark.parametrize("n", range(1, 5))
@@ -112,18 +134,68 @@ class TestMonomialBasis:
         p = poly(family, n)
         for k in (1, 3, 7, 10):
             r = Fraction(k, 11)
-            assert p.evaluate_monomial(r) == p.evaluate(r)
+            assert evaluate_monomial(p, r) == p.evaluate(r)
 
     def test_gap_polynomial_between_a2_and_b2(self):
         # P_A - P_B expands to r(1-r)^2(1+r), nonnegative on [0, 1]
-        pa = poly("A", 2).monomial_coefficients()
-        pb = poly("B", 2).monomial_coefficients() + (0,)
+        pa = monomial_coefficients(poly("A", 2))
+        pb = monomial_coefficients(poly("B", 2)) + (0,)
         diff = tuple(a - b for a, b in zip(pa, pb))
         assert diff == (0, 1, -1, -1, 1)
         a2, b2 = poly("A", 2), poly("B", 2)
         for k in range(1, 100):
             r = Fraction(k, 100)
             assert a2.evaluate(r) >= b2.evaluate(r)
+
+
+class TestKernelOracle:
+    """The integer Horner kernel against the Fraction power sum."""
+
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_power_sum(self, family, n):
+        p = poly(family, n)
+        points = [Fraction(k, 60) for k in range(61)]
+        points += [Fraction(2, 4), Fraction(10, 60), Fraction(0, 7), Fraction(9, 9), 0, 1]
+        for r in points:
+            value = p.evaluate(r)
+            assert type(value) is Fraction
+            assert value == evaluate_power_sum(p, r)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_curve_csv_matches_oracle(self, n):
+        sink = io.StringIO()
+        emit_curve(n, Fraction(1, 500), sink=sink)
+        polys = [poly(f, n) for f in "ABC"]
+        rows = [CSV_HEADER]
+        for k in range(1, 500):
+            r = Fraction(k, 500)
+            values = [r] + [evaluate_power_sum(p, r) for p in polys]
+            rows.append(",".join(f"{float(v):.17g}" for v in values))
+        assert sink.getvalue() == "\n".join(rows) + "\n"
+
+
+class TestProperties:
+    @given(
+        family=st.sampled_from("ABC"),
+        n=st.integers(1, 5),
+        r=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    )
+    def test_random_rational(self, family, n, r):
+        p = poly(family, n)
+        value = p.evaluate(r)
+        assert type(value) is Fraction
+        assert 0 <= value <= 1
+        assert r.denominator ** p.spec.m % value.denominator == 0
+        assert value == evaluate_power_sum(p, r)
+
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exact_endpoints(self, family, n):
+        p = poly(family, n)
+        assert p.evaluate(0) == 1
+        if n >= 2:
+            assert p.evaluate(1) == 0
 
 
 class TestMonotonicity:
