@@ -29,25 +29,20 @@ from .genfunc import (
     gf_edge_table,
     one_plus_t_power,
     reciprocal,
-    z_series,
     z_series_neg,
 )
 from .matrices import (
     BinaryMatrix,
     RationalMatrix,
     TypeSpec,
-    delete_row_col,
     determinant,
-    determinant_expansion,
     permanent_expansion,
-    permanent_ryser,
     support,
 )
 from .probability import (
     ChainReport,
     CurveSample,
     ProbabilityPolynomial,
-    build,
     emit_curve,
     family_tables,
     find_order_violation,

@@ -1,7 +1,7 @@
 """Command-line interface: count tables, emit curves, run verification suites.
 
 Exit codes: 0 success/agreement, 1 verification or agreement failure,
-2 usage error.
+2 usage error (including an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_curve(args, parser) -> int:
-    out = _open_out(args.out)
     tables = family_tables(args.n)
+    out = _open_out(args.out)
     try:
         emit_curve(args.n, args.step, sink=out, tables=tables)
     finally:
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
         if args.command == "least":
             return cmd_least(args, parser)
         return cmd_verify(args, parser)
-    except (DimensionError, BudgetError, PatternError) as exc:
+    except (DimensionError, BudgetError, PatternError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

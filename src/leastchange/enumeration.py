@@ -76,14 +76,14 @@ def has_perfect_matching(matrix: BinaryMatrix) -> bool:
     return True
 
 
-def count_pertinent(spec: TypeSpec, use_cache: bool = True) -> CoefficientTable:
+def count_pertinent(spec: TypeSpec) -> CoefficientTable:
     """Count pertinent matrices by number of one-valued variable elements."""
     if spec.n > ENUMERATION_MAX_N:
         raise DimensionError(
             f"exhaustive enumeration supports n <= {ENUMERATION_MAX_N}, got {spec.n}"
         )
     key = (spec.family, spec.n)
-    if use_cache and key in _table_cache:
+    if key in _table_cache:
         return _table_cache[key]
 
     counts = _scan_counts(spec) if spec.family == "C" else _split_counts(spec)
@@ -94,13 +94,12 @@ def count_pertinent(spec: TypeSpec, use_cache: bool = True) -> CoefficientTable:
             f"for {spec.family}_{spec.n}; family arithmetic violated"
         )
     table = CoefficientTable(spec, tuple(coeffs[: spec.i_max + 1]), ROUTE_ENUMERATION)
-    if use_cache:
-        _table_cache[key] = table
+    _table_cache[key] = table
     return table
 
 
-def total_pertinent(spec: TypeSpec, **kwargs) -> int:
-    return count_pertinent(spec, **kwargs).total
+def total_pertinent(spec: TypeSpec) -> int:
+    return count_pertinent(spec).total
 
 
 @dataclass(frozen=True)

@@ -131,19 +131,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i))
-
-    def coefficient_by_differentiation(self, power: int) -> Fraction:
-        """Coefficient read the slow way: differentiate, evaluate at 0, divide.
-
-        Debug path only; must agree with plain indexing on exact polynomials.
-        """
-        p = self
-        for _ in range(power):
-            p = p.derivative()
-        return Fraction(p.evaluate(0), math.factorial(power))
-
     def __repr__(self):
         if self.is_zero():
             return "Polynomial(0)"
@@ -216,20 +203,8 @@ class WeightedSeries:
             out.append(acc)
         return WeightedSeries(out)
 
-    def coefficient_at(self, n: int, t=0) -> Fraction:
-        """Actual z^n series coefficient, weights unfolded, at a given t."""
-        weight = math.factorial(n) * one_plus_t_power(math.comb(n, 2)).evaluate(t)
-        return Fraction(self.terms[n].evaluate(t)) / weight
-
     def __repr__(self):
         return f"WeightedSeries({list(self.terms)!r})"
-
-
-def z_series(order: int) -> WeightedSeries:
-    """The base series: every weighted term is the constant 1."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return WeightedSeries([Polynomial.one()] * (order + 1))
 
 
 def z_series_neg(order: int) -> WeightedSeries:
@@ -259,21 +234,17 @@ def reciprocal(series: WeightedSeries) -> WeightedSeries:
     return WeightedSeries(out)
 
 
-def edge_polynomial(n: int, order: int | None = None) -> Polynomial:
+def edge_polynomial(n: int) -> Polynomial:
     """Polynomial in t whose t^e coefficient counts labeled DAGs with e edges.
 
     Term n of the reciprocal of the alternating base series; the weighted
     basis already carries the n! * (1+t)^C(n,2) normalization, so the stored
-    term is the answer itself.  Any truncation order >= n gives the same
-    polynomial.
+    term is the answer itself.  Truncating the series at order n suffices,
+    since term n of a reciprocal depends only on terms 0..n.
     """
     if not 1 <= n <= GF_MAX_N:
         raise DimensionError(f"edge polynomial supports 1..{GF_MAX_N}, got {n}")
-    if order is None:
-        order = n
-    if order < n:
-        raise ValueError(f"truncation order {order} cannot resolve term {n}")
-    return reciprocal(z_series_neg(order)).terms[n]
+    return reciprocal(z_series_neg(n)).terms[n]
 
 
 def gf_edge_table(n: int) -> CoefficientTable:

@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .errors import DimensionError, PatternError
 
-# Bitmask storage supports up to 30; the factorial-cost expansions below
-# enforce their own, much smaller caps.
+# Bitmask storage supports up to 30; the factorial-cost permanent expansion
+# below enforces its own, much smaller cap.
 MAX_DIMENSION = 30
 MAX_EXPANSION_DIMENSION = 8
 
@@ -303,28 +303,6 @@ def permanent_expansion(matrix):
     return total
 
 
-def permanent_ryser(matrix: BinaryMatrix) -> int:
-    """Permanent by inclusion-exclusion over column subsets, O(2^n * n)."""
-    if not isinstance(matrix, BinaryMatrix):
-        raise TypeError("permanent_ryser expects a BinaryMatrix")
-    n = matrix.n
-    if not 1 <= n <= MAX_DIMENSION:
-        raise DimensionError(f"permanent_ryser supports 1..{MAX_DIMENSION}, got {n}")
-    rows = matrix.rows
-    total = 0
-    for subset in range(1, 1 << n):
-        prod = 1
-        for r in rows:
-            prod *= (r & subset).bit_count()
-            if prod == 0:
-                break
-        if (n - subset.bit_count()) & 1:
-            total -= prod
-        else:
-            total += prod
-    return total
-
-
 def determinant(matrix) -> Fraction:
     """Exact determinant via the integer Bareiss kernel.
 
@@ -365,65 +343,6 @@ def det_int(a: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def determinant_expansion(matrix) -> Fraction:
-    """Determinant as the signed permutation sum; cross-check for Bareiss."""
-    if isinstance(matrix, BinaryMatrix):
-        matrix = matrix.to_rational()
-    n = matrix.n
-    _check_expansion_dim(n)
-    entries = matrix.entries
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        prod = Fraction(1)
-        for j, i in enumerate(perm):
-            v = entries[i][j]
-            if v == 0:
-                break
-            prod *= v
-        else:
-            total += _sign(perm) * prod
-    return total
-
-
-def _sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = perm[p]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def delete_row_col(matrix, i: int, j: int):
-    """Submatrix with row i and column j removed (1-based)."""
-    n = matrix.n
-    if n < 2:
-        raise DimensionError("cannot delete from a 1x1 matrix")
-    _check_index(n, i, j)
-    if isinstance(matrix, BinaryMatrix):
-        low = (1 << (j - 1)) - 1
-        rows = [
-            (r & low) | ((r >> j) << (j - 1))
-            for k, r in enumerate(matrix.rows)
-            if k != i - 1
-        ]
-        return BinaryMatrix(n - 1, tuple(rows))
-    rows = [
-        [v for jj, v in enumerate(row) if jj != j - 1]
-        for ii, row in enumerate(matrix.entries)
-        if ii != i - 1
-    ]
-    return RationalMatrix.from_rows(rows)
 
 
 def support(matrix) -> BinaryMatrix:

@@ -10,6 +10,7 @@ integers and a single Fraction at the end.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,6 @@ from .tables import CoefficientTable
 
 @dataclass(frozen=True)
 class ProbabilityPolynomial:
-    spec: TypeSpec
     table: CoefficientTable
 
     def evaluate(self, r):
@@ -33,12 +33,12 @@ class ProbabilityPolynomial:
         if not exact:
             return float(self._homogeneous(r, 1.0 - r))
         p, q = r.numerator, r.denominator
-        return Fraction(self._homogeneous(p, q - p), q**self.spec.m)
+        return Fraction(self._homogeneous(p, q - p), q**self.table.spec.m)
 
     def _homogeneous(self, p, s):
         """sum_i E(i) p^i s^(m-i), by Horner in p carrying the powers of s."""
         coeffs = self.table.coeffs
-        acc, s_pow = 0, s ** (self.spec.m + 1 - len(coeffs))
+        acc, s_pow = 0, s ** (self.table.spec.m + 1 - len(coeffs))
         for c in reversed(coeffs):
             acc = acc * p + c * s_pow
             s_pow *= s
@@ -46,14 +46,8 @@ class ProbabilityPolynomial:
 
     def bernstein_terms(self) -> tuple[tuple[int, int, int], ...]:
         """(coefficient, power of r, power of 1-r) triples, ascending i."""
-        m = self.spec.m
+        m = self.table.spec.m
         return tuple((c, i, m - i) for i, c in enumerate(self.table.coeffs))
-
-
-def build(spec: TypeSpec, table: CoefficientTable) -> ProbabilityPolynomial:
-    if table.spec != spec:
-        raise ValueError(f"table belongs to {table.spec}, not {spec}")
-    return ProbabilityPolynomial(spec, table)
 
 
 def family_tables(n: int) -> dict[str, CoefficientTable]:
@@ -89,6 +83,16 @@ def _format(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _samples(n: int, grid, tables) -> list[CurveSample]:
+    """P_A, P_B and P_C at every r of the grid (default tables if None)."""
+    tables = tables or family_tables(n)
+    specs = [TypeSpec(f, n) for f in ("A", "B", "C")]
+    if [tables[s.family].spec for s in specs] != specs:
+        raise ValueError(f"tables must belong to families A, B, C at n={n}")
+    polys = [ProbabilityPolynomial(tables[s.family]) for s in specs]
+    return [CurveSample(r, *(p.evaluate(r) for p in polys)) for r in grid]
+
+
 def emit_curve(n: int, grid_step, sink=None, tables=None) -> list[CurveSample]:
     """Sample all three probabilities on an interior grid; optionally as CSV.
 
@@ -97,21 +101,7 @@ def emit_curve(n: int, grid_step, sink=None, tables=None) -> list[CurveSample]:
     step = Fraction(grid_step)
     if not 0 < step < 1:
         raise ValueError(f"grid step {step} outside (0, 1)")
-    tables = tables or family_tables(n)
-    polys = {f: build(TypeSpec(f, n), tables[f]) for f in ("A", "B", "C")}
-    samples = []
-    k = 1
-    while k * step < 1:
-        r = k * step
-        samples.append(
-            CurveSample(
-                r,
-                polys["A"].evaluate(r),
-                polys["B"].evaluate(r),
-                polys["C"].evaluate(r),
-            )
-        )
-        k += 1
+    samples = _samples(n, (k * step for k in range(1, math.ceil(1 / step))), tables)
     if sink is not None:
         sink.write(CSV_HEADER + "\n")
         for s in samples:
@@ -164,38 +154,17 @@ def find_order_violation(
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
     if not 0 <= lo < hi <= 1 or step <= 0:
         raise ValueError("need 0 <= lo < hi <= 1 and step > 0")
-    tables = tables or family_tables(n)
-    polys = {f: build(TypeSpec(f, n), tables[f]) for f in ("A", "B", "C")}
-
-    holding = 0
-    grid: list[Fraction] = []
-    outcomes: list[bool] = []
-    r = lo
-    while r <= hi:
-        if 0 < r < 1:
-            sample = CurveSample(
-                r,
-                polys["A"].evaluate(r),
-                polys["B"].evaluate(r),
-                polys["C"].evaluate(r),
-            )
-            grid.append(r)
-            ok = _chain_holds(sample)
-            outcomes.append(ok)
-            holding += ok
-        r += step
-
-    failing = len(grid) - holding
-    largest_failing = None
-    smallest_holding_above = None
-    for r, ok in zip(grid, outcomes):
-        if not ok:
-            largest_failing = r
-    if largest_failing is not None:
-        for r, ok in zip(grid, outcomes):
-            if r > largest_failing and ok:
-                smallest_holding_above = r
-                break
+    grid = (lo + k * step for k in range(math.floor((hi - lo) / step) + 1))
+    holding = failing = 0
+    largest_failing = smallest_holding_above = None
+    for sample in _samples(n, (r for r in grid if 0 < r < 1), tables):
+        if not _chain_holds(sample):
+            failing += 1
+            largest_failing, smallest_holding_above = sample.r, None
+        else:
+            holding += 1
+            if largest_failing is not None and smallest_holding_above is None:
+                smallest_holding_above = sample.r
     return ChainReport(
         n, lo, hi, step, holding, failing, largest_failing, smallest_holding_above
     )

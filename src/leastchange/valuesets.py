@@ -17,16 +17,18 @@ plain minimization over assignments applies, with each determinant taken by
 the integer Bareiss kernel of ``matrices``.
 
 Which cells are variable and which are fixed at 1 comes from ``TypeSpec``
-alone: the scans fill its ``variable_positions`` in counter order, patterns
-are decoded and sorted by its counter, and a member's nonzero variable
-elements are counted over its ``variable_positions``.
+alone: both scans visit the assignments in the order of its counter (value
+digit k fills the k-th of its ``variable_positions``), so every attaining
+set lists its members in counter order.  Each member's number of nonzero
+variable elements is recorded by the scan that found it, from the counter
+(continuous) or the value digits (discrete), and never re-read from cells.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,22 +130,18 @@ class AttainingSet:
     """Matrices (or support patterns) attaining the least |det| value."""
 
     spec: TypeSpec
-    xset: ValueSet
     value: Fraction
     members: tuple
+    nonzeros: tuple[int, ...]  # nonzero variable elements of each member
 
     def __len__(self):
         return len(self.members)
 
-    def nonzero_count(self, member) -> int:
-        """Number of nonzero variable elements of a member."""
-        return sum(member.entry(i, j) != 0 for i, j in self.spec.variable_positions)
-
     def partition(self) -> dict[int, tuple]:
         """Members grouped by number of nonzero variable elements."""
         groups: dict[int, list] = {}
-        for member in self.members:
-            groups.setdefault(self.nonzero_count(member), []).append(member)
+        for member, count in zip(self.members, self.nonzeros):
+            groups.setdefault(count, []).append(member)
         return {i: tuple(ms) for i, ms in sorted(groups.items())}
 
 
@@ -163,8 +161,7 @@ def least_determinant(spec: TypeSpec, xset: ValueSet) -> Fraction:
     if xset.kind == "continuous":
         _check_continuous_dim(spec)
         return Fraction(spec.target_permanent)
-    value, _ = _discrete_scan(spec, xset)
-    return value
+    return _discrete_scan(spec, xset).value
 
 
 def attaining_matrices(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
@@ -175,9 +172,9 @@ def attaining_matrices(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
         counters = np.arange(1 << spec.m, dtype=np.uint32)
         hits = np.flatnonzero(pertinent_mask(spec, counters))
         members = tuple(spec.matrix_from_bits(int(b)) for b in hits)
-        return AttainingSet(spec, xset, Fraction(spec.target_permanent), members)
-    value, members = _discrete_scan(spec, xset)
-    return AttainingSet(spec, xset, value, members)
+        nonzeros = tuple(int(b).bit_count() for b in hits)
+        return AttainingSet(spec, Fraction(spec.target_permanent), members, nonzeros)
+    return _discrete_scan(spec, xset)
 
 
 def least_determinant_binary(spec: TypeSpec, xset: ValueSet) -> Fraction:
@@ -191,20 +188,19 @@ def least_determinant_binary(spec: TypeSpec, xset: ValueSet) -> Fraction:
     if xset.kind == "continuous":
         _check_continuous_dim(spec)
         return Fraction(spec.target_permanent)
-    value, _ = _pattern_scan(spec)
-    return value
+    return _pattern_scan(spec).value
 
 
 def attaining_patterns(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
     """Binary matrices attaining the least binary determinant value."""
     if xset.kind == "continuous":
         return attaining_matrices(spec, xset)
-    value, members = _pattern_scan(spec)
-    return AttainingSet(spec, xset, value, members)
+    return _pattern_scan(spec)
 
 
 @lru_cache(maxsize=256)
-def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
+def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
+    """Every assignment in counter order; the attaining ones as matrices."""
     if xset.kind != "discrete":
         raise ValueError("discrete scan needs a discrete value set")
     values = list(xset.values)
@@ -216,7 +212,9 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
     n = spec.n
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [int(v * scale) for v in values]
-    positions = [(i - 1, j - 1) for i, j in spec.variable_positions]
+    zero_digit = values.index(0)
+    # product() turns its last factor fastest, so the last factor is cell 0
+    positions = [(i - 1, j - 1) for i, j in reversed(spec.variable_positions)]
     # every cell off the variable positions is fixed at 1
     base = [[scale] * n for _ in range(n)]
 
@@ -235,6 +233,7 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
     u_scaled = best if any(d == best for d, _ in kept) else -best
     one = Fraction(1)
     members = []
+    nonzeros = []
     for d, combo in kept:
         if d != u_scaled:
             continue
@@ -242,15 +241,16 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> tuple[Fraction, tuple]:
         for k, (i, j) in enumerate(positions):
             rows[i][j] = values[combo[k]]
         members.append(RationalMatrix(n, tuple(map(tuple, rows))))
-    return Fraction(u_scaled, scale**n), tuple(members)
+        nonzeros.append(m - combo.count(zero_digit))
+    value = Fraction(u_scaled, scale**n)
+    return AttainingSet(spec, value, tuple(members), tuple(nonzeros))
 
 
 @lru_cache(maxsize=256)
-def _pattern_scan(spec: TypeSpec) -> tuple[Fraction, tuple]:
+def _pattern_scan(spec: TypeSpec) -> AttainingSet:
     """The discrete scan over {0, 1}, members as patterns in counter order."""
-    value, members = _discrete_scan(spec, ValueSet.discrete([0, 1]))
-    patterns = sorted((support(m) for m in members), key=spec.bits_from_matrix)
-    return value, tuple(patterns)
+    scan = _discrete_scan(spec, ValueSet.discrete([0, 1]))
+    return replace(scan, members=tuple(map(support, scan.members)))
 
 
 @dataclass(frozen=True)
@@ -363,9 +363,7 @@ def complement_identity_check() -> ComplementReport:
     one_minus_r = Polynomial((1, -1))
 
     cnt_poly = Polynomial.zero()
-    attaining_cnt = attaining_matrices(spec, x_cnt)
-    for pattern in attaining_cnt.members:
-        i = attaining_cnt.nonzero_count(pattern)
+    for i in attaining_matrices(spec, x_cnt).nonzeros:
         cnt_poly = cnt_poly + r**i * one_minus_r ** (spec.m - i)
 
     dis_poly = Polynomial.zero()

@@ -1,18 +1,147 @@
-"""Slow, obviously correct evaluations of a ProbabilityPolynomial.
+"""Slow, obviously correct versions of what the package computes fast.
 
-They pin the integer Horner kernel of ``ProbabilityPolynomial.evaluate`` and
-are used only by the tests.
+Each function here is the definition, or an earlier independent route, that
+a test holds a product path to; none of them is part of the package.
 """
 
+import itertools
 import math
 from fractions import Fraction
+
+from leastchange import (
+    BinaryMatrix,
+    Polynomial,
+    ProbabilityPolynomial,
+    RationalMatrix,
+    WeightedSeries,
+    one_plus_t_power,
+)
+from leastchange.probability import ChainReport, CurveSample, _chain_holds
+
+# --- matrices --------------------------------------------------------------
+
+
+def permanent_ryser(matrix: BinaryMatrix) -> int:
+    """Permanent by inclusion-exclusion over column subsets, O(2^n * n)."""
+    n = matrix.n
+    rows = matrix.rows
+    total = 0
+    for subset in range(1, 1 << n):
+        prod = 1
+        for r in rows:
+            prod *= (r & subset).bit_count()
+            if prod == 0:
+                break
+        if (n - subset.bit_count()) & 1:
+            total -= prod
+        else:
+            total += prod
+    return total
+
+
+def determinant_expansion(matrix) -> Fraction:
+    """Determinant as the signed permutation sum; cross-check for Bareiss."""
+    if isinstance(matrix, BinaryMatrix):
+        matrix = matrix.to_rational()
+    n = matrix.n
+    entries = matrix.entries
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        prod = Fraction(1)
+        for j, i in enumerate(perm):
+            v = entries[i][j]
+            if v == 0:
+                break
+            prod *= v
+        else:
+            total += _sign(perm) * prod
+    return total
+
+
+def _sign(perm) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = perm[p]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def delete_row_col(matrix, i: int, j: int):
+    """Submatrix with row i and column j removed (1-based)."""
+    n = matrix.n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexError(f"index ({i}, {j}) outside 1..{n}")
+    if isinstance(matrix, BinaryMatrix):
+        low = (1 << (j - 1)) - 1
+        rows = [
+            (r & low) | ((r >> j) << (j - 1))
+            for k, r in enumerate(matrix.rows)
+            if k != i - 1
+        ]
+        return BinaryMatrix(n - 1, tuple(rows))
+    rows = [
+        [v for jj, v in enumerate(row) if jj != j - 1]
+        for ii, row in enumerate(matrix.entries)
+        if ii != i - 1
+    ]
+    return RationalMatrix.from_rows(rows)
+
+
+def nonzero_cells(spec, member) -> int:
+    """Nonzero variable elements of a family matrix, read cell by cell."""
+    return sum(member.entry(i, j) != 0 for i, j in spec.variable_positions)
+
+
+def assignment_counter(spec, values, member) -> int:
+    """The counter of a member: digit k is the index of its k-th variable cell."""
+    digits = [values.index(member.entry(i, j)) for i, j in spec.variable_positions]
+    return sum(d * len(values) ** k for k, d in enumerate(digits))
+
+
+# --- genfunc ---------------------------------------------------------------
+
+
+def derivative(poly: Polynomial) -> Polynomial:
+    return Polynomial(tuple(i * c for i, c in enumerate(poly.coefficients) if i))
+
+
+def coefficient_by_differentiation(poly: Polynomial, power: int) -> Fraction:
+    """Coefficient read the slow way: differentiate, evaluate at 0, divide."""
+    for _ in range(power):
+        poly = derivative(poly)
+    return Fraction(poly.evaluate(0), math.factorial(power))
+
+
+def coefficient_at(series: WeightedSeries, n: int, t=0) -> Fraction:
+    """Actual z^n series coefficient, weights unfolded, at a given t."""
+    weight = math.factorial(n) * one_plus_t_power(math.comb(n, 2)).evaluate(t)
+    return Fraction(series.terms[n].evaluate(t)) / weight
+
+
+def z_series(order: int) -> WeightedSeries:
+    """The base series: every weighted term is the constant 1."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return WeightedSeries([Polynomial.one()] * (order + 1))
+
+
+# --- probability -----------------------------------------------------------
 
 
 def evaluate_power_sum(poly, r) -> Fraction:
     """sum_i E(i) r^i (1-r)^(m-i) term by term in Fractions."""
     r = Fraction(r)
     s = 1 - r
-    m = poly.spec.m
+    m = poly.table.spec.m
     r_pow = [Fraction(1)]
     s_pow = [Fraction(1)]
     for _ in range(m):
@@ -23,7 +152,7 @@ def evaluate_power_sum(poly, r) -> Fraction:
 
 def monomial_coefficients(poly) -> tuple[int, ...]:
     """Exact expansion into powers of r, degree 0..m."""
-    m = poly.spec.m
+    m = poly.table.spec.m
     out = [0] * (m + 1)
     for i, c in enumerate(poly.table.coeffs):
         if c == 0:
@@ -39,3 +168,32 @@ def evaluate_monomial(poly, r) -> Fraction:
     for c in reversed(monomial_coefficients(poly)):
         acc = acc * r + c
     return acc
+
+
+def find_order_violation_three_pass(n, lo, hi, step, tables) -> ChainReport:
+    """The chain scan as three passes: sample the grid, then find the last
+    failure, then the first holding sample above it."""
+    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+    polys = [ProbabilityPolynomial(tables[f]) for f in "ABC"]
+    grid, outcomes = [], []
+    r = lo
+    while r <= hi:
+        if 0 < r < 1:
+            grid.append(r)
+            outcomes.append(_chain_holds(CurveSample(r, *(p.evaluate(r) for p in polys))))
+        r += step
+    holding = sum(outcomes)
+    largest_failing = None
+    smallest_holding_above = None
+    for r, ok in zip(grid, outcomes):
+        if not ok:
+            largest_failing = r
+    if largest_failing is not None:
+        for r, ok in zip(grid, outcomes):
+            if r > largest_failing and ok:
+                smallest_holding_above = r
+                break
+    return ChainReport(
+        n, lo, hi, step, holding, len(grid) - holding, largest_failing,
+        smallest_holding_above,
+    )

@@ -16,12 +16,12 @@ from fractions import Fraction
 
 from leastchange import (
     BinaryMatrix,
+    ProbabilityPolynomial,
     RationalMatrix,
     TypeSpec,
     ValueSet,
     attaining_matrices,
     attaining_patterns,
-    build,
     check_inclusion,
     complement_identity_check,
     count_dags_by_edges,
@@ -95,7 +95,7 @@ def test_criterion_03_worked_example():
     with criterion(3, "n=4 series polynomial and its probability expansion"):
         poly = edge_polynomial(4)
         assert poly.coefficients == (1, 12, 60, 152, 186, 108, 24)
-        prob = build(TypeSpec("C", 4), gf_edge_table(4))
+        prob = ProbabilityPolynomial(gf_edge_table(4))
         assert prob.bernstein_terms() == (
             (1, 0, 12),
             (12, 1, 11),
@@ -172,7 +172,7 @@ def test_criterion_07_normalization_anchor():
             for n in range(1, 6):
                 spec = TypeSpec(family, n)
                 table = count_pertinent(spec)
-                assert build(spec, table).evaluate(HALF) * 2**spec.m == table.total
+                assert ProbabilityPolynomial(table).evaluate(HALF) * 2**spec.m == table.total
 
 
 def test_criterion_08_figure_behavior():

@@ -123,6 +123,15 @@ class TestCount:
         assert code == 2
         assert "error:" in err
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.txt"
+        code, out, err = run(
+            capsys, "count", "--family", "C", "--n", "3", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestCurve:
     def test_rows_and_boundary_note(self, capsys, tmp_path):
@@ -133,6 +142,17 @@ class TestCurve:
         assert lines[0] == "r,P_A,P_B,P_C"
         assert len(lines) == 4
         assert "chain" in out
+
+    def test_failed_run_leaves_output_file_alone(self, capsys, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier curve\n")
+        absent = tmp_path / "absent.csv"
+        for path in (kept, absent):
+            code, _, err = run(capsys, "curve", "--n", "6", "--out", str(path))
+            assert code == 2
+            assert "error:" in err
+        assert kept.read_text() == "earlier curve\n"
+        assert not absent.exists()
 
     def test_stdout_csv(self, capsys):
         code, out, err = run(capsys, "curve", "--n", "2", "--step", "1/4")

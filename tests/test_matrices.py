@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import delete_row_col, determinant_expansion, permanent_ryser
 
 from leastchange import (
     BinaryMatrix,
     DimensionError,
     RationalMatrix,
     TypeSpec,
-    delete_row_col,
     determinant,
-    determinant_expansion,
     permanent_expansion,
-    permanent_ryser,
     support,
 )
 

@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import evaluate_monomial, evaluate_power_sum, monomial_coefficients
+from oracles import (
+    evaluate_monomial,
+    evaluate_power_sum,
+    find_order_violation_three_pass,
+    monomial_coefficients,
+)
 
 from leastchange import (
+    ProbabilityPolynomial,
     TypeSpec,
-    build,
     count_pertinent,
     emit_curve,
     family_tables,
@@ -24,7 +29,7 @@ from leastchange.probability import CSV_HEADER
 def poly(family, n):
     spec = TypeSpec(family, n)
     table = gf_edge_table(n) if family == "C" else count_pertinent(spec)
-    return build(spec, table)
+    return ProbabilityPolynomial(table)
 
 
 class TestBuild:
@@ -49,11 +54,6 @@ class TestBuild:
         p = poly("C", 1)
         assert p.bernstein_terms() == ((1, 0, 0),)
         assert p.evaluate(Fraction(1, 3)) == 1
-
-    def test_mismatched_spec_rejected(self):
-        table = count_pertinent(TypeSpec("A", 2))
-        with pytest.raises(ValueError):
-            build(TypeSpec("B", 2), table)
 
 
 class TestEvaluate:
@@ -186,7 +186,7 @@ class TestProperties:
         value = p.evaluate(r)
         assert type(value) is Fraction
         assert 0 <= value <= 1
-        assert r.denominator ** p.spec.m % value.denominator == 0
+        assert r.denominator ** p.table.spec.m % value.denominator == 0
         assert value == evaluate_power_sum(p, r)
 
     @pytest.mark.parametrize("family", "ABC")
@@ -235,6 +235,16 @@ class TestEmitCurve:
         with pytest.raises(ValueError):
             emit_curve(2, Fraction(3, 2))
 
+    def test_mismatched_tables_rejected(self):
+        tables = family_tables(3)
+        with pytest.raises(ValueError):
+            emit_curve(2, Fraction(1, 4), tables=tables)
+        with pytest.raises(ValueError):
+            find_order_violation(2, Fraction(1, 4), Fraction(3, 4), tables=tables)
+        swapped = dict(tables, A=tables["B"])
+        with pytest.raises(ValueError):
+            emit_curve(3, Fraction(1, 4), tables=swapped)
+
     def test_first_n5_sample_is_near_one(self):
         tables = {f: count_pertinent(TypeSpec(f, 5)) for f in "ABC"}
         first = emit_curve(5, Fraction(1, 100), tables=tables)[0]
@@ -259,6 +269,23 @@ class TestOrderViolation:
         assert Fraction(15, 100) <= lo <= Fraction(21, 100)
         assert hi - lo == Fraction(1, 100)
         assert not report.never_holds and not report.always_holds
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_one_pass_equals_three_pass_scan(self, n):
+        tables = family_tables(n)
+        windows = [
+            (Fraction(1, 100), Fraction(99, 100), Fraction(1, 1000)),
+            (Fraction(1, 100), Fraction(99, 100), Fraction(1, 100)),
+            (0, 1, Fraction(1, 7)),
+            (0, Fraction(1, 2), Fraction(3, 40)),
+            (Fraction(1, 10), 1, Fraction(2, 75)),
+            (Fraction(3, 20), Fraction(1, 5), Fraction(1, 3000)),
+            (Fraction(1, 100), Fraction(3, 20), Fraction(1, 60)),
+            (Fraction(1, 3), Fraction(2, 3), 1),
+        ]
+        for lo, hi, step in windows:
+            expected = find_order_violation_three_pass(n, lo, hi, step, tables=tables)
+            assert find_order_violation(n, lo, hi, step, tables=tables) == expected
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):

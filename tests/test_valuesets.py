@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import assignment_counter, nonzero_cells
 
 from leastchange import (
     AttainingSet,
@@ -19,7 +20,9 @@ from leastchange import (
     least_determinant,
     least_determinant_binary,
     permanent_expansion,
+    support,
 )
+from leastchange.valuesets import _discrete_scan, _pattern_scan
 
 HALF = Fraction(1, 2)
 
@@ -199,12 +202,30 @@ class TestAttainingSets:
 
     def test_partition_counts_sum_to_cardinality(self):
         xset = ValueSet.discrete([0, HALF, 2])
-        attaining = attaining_matrices(TypeSpec("A", 2), xset)
+        spec = TypeSpec("A", 2)
+        attaining = attaining_matrices(spec, xset)
         part = attaining.partition()
         assert sum(len(v) for v in part.values()) == len(attaining)
         for i, members in part.items():
             for m in members:
-                assert attaining.nonzero_count(m) == i
+                assert nonzero_cells(spec, m) == i
+
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_scans_list_members_in_counter_order(self, family, n):
+        spec = TypeSpec(family, n)
+        for xset in (ValueSet.discrete([-1, 0, 1]), ValueSet.discrete([0, 1])):
+            attaining = attaining_matrices(spec, xset)
+            members = attaining.members
+            counters = [assignment_counter(spec, xset.values, m) for m in members]
+            assert all(a < b for a, b in zip(counters, counters[1:]))
+            assert attaining.nonzeros == tuple(nonzero_cells(spec, m) for m in members)
+        scan = _discrete_scan(spec, ValueSet.discrete([0, 1]))
+        patterns = _pattern_scan(spec)
+        assert patterns.members == tuple(
+            sorted(map(support, scan.members), key=spec.bits_from_matrix)
+        )
+        assert (patterns.value, patterns.nonzeros) == (scan.value, scan.nonzeros)
 
 
 class TestZeroOneInstance:
