@@ -87,13 +87,7 @@ def count_pertinent(spec: TypeSpec) -> CoefficientTable:
         return _table_cache[key]
 
     counts = _scan_counts(spec) if spec.family == "C" else _split_counts(spec)
-    coeffs = [int(v) for v in counts]
-    if any(coeffs[spec.i_max + 1 :]):
-        raise RuntimeError(
-            f"pertinent assignment with more than i_max={spec.i_max} ones "
-            f"for {spec.family}_{spec.n}; family arithmetic violated"
-        )
-    table = CoefficientTable(spec, tuple(coeffs[: spec.i_max + 1]), ROUTE_ENUMERATION)
+    table = CoefficientTable.from_counts(spec, counts, ROUTE_ENUMERATION)
     _table_cache[key] = table
     return table
 

@@ -191,17 +191,9 @@ class WeightedSeries:
         if not isinstance(other, WeightedSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            acc = Polynomial.zero()
-            for j in range(n + 1):
-                a = self.terms[j]
-                b = other.terms[n - j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + math.comb(n, j) * one_plus_t_power(j * (n - j)) * a * b
-            out.append(acc)
-        return WeightedSeries(out)
+        return WeightedSeries(
+            [_convolve(self.terms, other.terms, n, 0) for n in range(order + 1)]
+        )
 
     def __repr__(self):
         return f"WeightedSeries({list(self.terms)!r})"
@@ -224,14 +216,18 @@ def reciprocal(series: WeightedSeries) -> WeightedSeries:
         raise ValueError("series must have constant term 1 to be inverted")
     out = [Polynomial.one()]
     for n in range(1, series.order + 1):
-        acc = Polynomial.zero()
-        for k in range(1, n + 1):
-            s_k = series.terms[k]
-            if s_k.is_zero():
-                continue
-            acc = acc + math.comb(n, k) * one_plus_t_power(k * (n - k)) * s_k * out[n - k]
-        out.append(-acc)
+        out.append(-_convolve(series.terms, out, n, 1))
     return WeightedSeries(out)
+
+
+def _convolve(a, b, n: int, start: int) -> Polynomial:
+    """sum_(j=start..n) binom(n, j) * (1+t)^(j*(n-j)) * a_j * b_(n-j)."""
+    acc = Polynomial.zero()
+    for j in range(start, n + 1):
+        if a[j].is_zero() or b[n - j].is_zero():
+            continue
+        acc = acc + math.comb(n, j) * one_plus_t_power(j * (n - j)) * a[j] * b[n - j]
+    return acc
 
 
 def edge_polynomial(n: int) -> Polynomial:
@@ -250,12 +246,6 @@ def edge_polynomial(n: int) -> Polynomial:
 def gf_edge_table(n: int) -> CoefficientTable:
     """Family-C coefficient table computed through the series route."""
     poly = edge_polynomial(n)
-    spec = TypeSpec("C", n)
-    coeffs = tuple(poly[i] for i in range(spec.i_max + 1))
-    if poly.degree != spec.i_max:
-        raise RuntimeError(
-            f"edge polynomial degree {poly.degree} != expected {spec.i_max} at n={n}"
-        )
-    if any(not isinstance(c, int) for c in coeffs):
-        raise RuntimeError("series route must stay in integer coefficients")
-    return CoefficientTable(spec, coeffs, ROUTE_GENERATING_FUNCTION)
+    return CoefficientTable.from_counts(
+        TypeSpec("C", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
+    )

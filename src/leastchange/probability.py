@@ -15,6 +15,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .enumeration import count_pertinent
+from .genfunc import gf_edge_table
 from .matrices import TypeSpec
 from .tables import CoefficientTable
 
@@ -57,9 +59,6 @@ def family_tables(n: int) -> dict[str, CoefficientTable]:
     generating-function route, which the test suite pins against the other
     two routes.
     """
-    from .enumeration import count_pertinent
-    from .genfunc import gf_edge_table
-
     return {
         "A": count_pertinent(TypeSpec("A", n)),
         "B": count_pertinent(TypeSpec("B", n)),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from .matrices import TypeSpec
@@ -19,12 +21,29 @@ class CoefficientTable:
     """Counts of pertinent matrices with exactly i one-valued variable cells.
 
     ``coeffs[i]`` covers i = 0 .. spec.i_max; ``route`` records which of the
-    independent computations produced the numbers.
+    independent computations produced the numbers.  Every route builds its
+    table through ``from_counts``, so the checks below hold for all of them.
     """
 
     spec: TypeSpec
     coeffs: tuple[int, ...]
     route: str
+
+    @classmethod
+    def from_counts(cls, spec: TypeSpec, counts, route: str) -> "CoefficientTable":
+        """Table from a route's histogram over 0 .. m ones (or any prefix of it).
+
+        Counts must be integers (numpy ints become Python ints); a pertinent
+        assignment with more than i_max ones means the family arithmetic
+        or the route is wrong.
+        """
+        coeffs = [operator.index(c) for c in counts]
+        if any(coeffs[spec.i_max + 1 :]):
+            raise RuntimeError(
+                f"route {route} counts an assignment with more than i_max={spec.i_max} "
+                f"ones for {spec.family}_{spec.n}"
+            )
+        return cls(spec, tuple(coeffs[: spec.i_max + 1]), route)
 
     def __post_init__(self):
         if self.route not in ROUTES:
@@ -40,13 +59,16 @@ class CoefficientTable:
         if self.coeffs[0] != 1:
             raise ValueError("the all-zeros assignment is always pertinent")
         # The count at i_max is forced: 2n candidate zero lines for family A,
-        # 2 for family B (row 1 or column 1), and a single one when n = 1.
-        if spec.family in ("A", "B"):
+        # 2 for family B (row 1 or column 1), a single one when n = 1, and
+        # n! transitive tournaments for family C.
+        if spec.family == "C":
+            expected = math.factorial(spec.n)
+        else:
             expected = 1 if spec.n == 1 else (2 * spec.n if spec.family == "A" else 2)
-            if self.coeffs[-1] != expected:
-                raise ValueError(
-                    f"family {spec.family} must end with {expected}, got {self.coeffs[-1]}"
-                )
+        if self.coeffs[-1] != expected:
+            raise ValueError(
+                f"family {spec.family} must end with {expected}, got {self.coeffs[-1]}"
+            )
 
     @property
     def total(self) -> int:

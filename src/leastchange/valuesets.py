@@ -264,16 +264,6 @@ class InclusionReport:
     missing: tuple  # continuous patterns absent from the discrete side
     disjoint: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "holds": self.holds,
-            "difference": [m.to_lists() for m in self.difference],
-            "missing": [m.to_lists() for m in self.missing],
-            "disjoint": self.disjoint,
-        }
-
 
 def check_inclusion(
     family: str, n: int, xset_dis: ValueSet, xset_cnt: ValueSet
@@ -313,21 +303,6 @@ class CheckReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.claims)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "claims": [
-                {
-                    "description": c.description,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "pass": c.ok,
-                }
-                for c in self.claims
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class ComplementReport:
@@ -337,14 +312,6 @@ class ComplementReport:
     discrete_coeffs: tuple
     sum_coeffs: tuple
     ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "continuous": [str(c) for c in self.continuous_coeffs],
-            "discrete": [str(c) for c in self.discrete_coeffs],
-            "sum": [str(c) for c in self.sum_coeffs],
-            "ok": self.ok,
-        }
 
 
 def complement_identity_check() -> ComplementReport:

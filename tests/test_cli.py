@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from leastchange import cli
 from leastchange.cli import main
 
 
@@ -231,6 +232,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 0
         assert out.count("PASS") == 3
+
+    def test_acyclic_suite_reads_the_batched_predicate(self, capsys, monkeypatch):
+        real = cli.pertinent_mask
+
+        def flipped(spec, counters):
+            mask = real(spec, counters)
+            mask[-1] = not mask[-1]
+            return mask
+
+        monkeypatch.setattr(cli, "pertinent_mask", flipped)
+        code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
+        assert code == 1
+        assert "FAIL  permanent-1 vs acyclic n=3" in out
 
     def test_routes_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "routes", "--n", "4")

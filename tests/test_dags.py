@@ -142,6 +142,9 @@ class TestCensus:
             assert table.total == 3781503  # labeled DAGs on 6 vertices
             assert len(table.coeffs) == 16
 
+    def test_memoized_per_process(self):
+        assert count_dags_by_edges(5) is count_dags_by_edges(5)
+
     def test_edge_bound(self):
         # a DAG on n vertices carries at most n*(n-1)/2 edges
         for n in range(1, 6):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,9 +314,10 @@ class TestCoefficientTable:
             CoefficientTable(spec, (2, 4, 4), ROUTE_ENUMERATION)
 
     def test_rejects_wrong_tail_count(self):
-        spec = TypeSpec("A", 2)
-        with pytest.raises(ValueError):
-            CoefficientTable(spec, (1, 4, 5), ROUTE_ENUMERATION)
+        # A2 must end with 2n = 4; C3 with 3! transitive tournaments
+        for family, n, coeffs in (("A", 2, (1, 4, 5)), ("C", 3, (1, 6, 12, 5))):
+            with pytest.raises(ValueError):
+                CoefficientTable(TypeSpec(family, n), coeffs, ROUTE_ENUMERATION)
 
     def test_rejects_wrong_length(self):
         spec = TypeSpec("A", 2)
@@ -326,3 +328,24 @@ class TestCoefficientTable:
         spec = TypeSpec("A", 2)
         with pytest.raises(ValueError):
             CoefficientTable(spec, (1, 4, 4), "guesswork")
+
+    def test_from_counts_rejects_mass_above_i_max(self):
+        spec = TypeSpec("A", 2)
+        with pytest.raises(RuntimeError, match="route enumeration"):
+            CoefficientTable.from_counts(spec, [1, 4, 4, 1, 0], ROUTE_ENUMERATION)
+
+    def test_from_counts_trims_to_i_max(self):
+        spec = TypeSpec("A", 2)
+        table = CoefficientTable.from_counts(spec, [1, 4, 4, 0, 0], ROUTE_ENUMERATION)
+        assert table.coeffs == (1, 4, 4)
+
+    @pytest.mark.parametrize("bad", [Fraction(4), 4.0])
+    def test_from_counts_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            CoefficientTable.from_counts(TypeSpec("A", 2), [1, bad, 4], ROUTE_ENUMERATION)
+
+    def test_from_counts_stores_python_ints(self):
+        counts = np.array([1, 4, 4, 0, 0], dtype=np.int64)
+        table = CoefficientTable.from_counts(TypeSpec("A", 2), counts, ROUTE_ENUMERATION)
+        assert table.coeffs == (1, 4, 4)
+        assert all(type(c) is int for c in table.coeffs)

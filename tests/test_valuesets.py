@@ -283,14 +283,6 @@ class TestInclusion:
                 "A", 2, ValueSet.discrete([0, 1]), ValueSet.discrete([0, 1, 2])
             )
 
-    def test_as_dict_shape(self):
-        report = check_inclusion(
-            "A", 2, ValueSet.discrete([0, HALF, 2]), ValueSet.continuous(0, 2)
-        )
-        d = report.as_dict()
-        assert d["family"] == "A" and d["holds"] is True
-        assert d["difference"] == [[[1, 1], [1, 1]]]
-
 
 class TestComplementIdentity:
     def test_exact_polynomial_identity(self):
@@ -300,11 +292,6 @@ class TestComplementIdentity:
         assert report.discrete_coeffs == (0, 0, 1)
         assert report.sum_coeffs == (1,)
 
-    def test_as_dict(self):
-        d = complement_identity_check().as_dict()
-        assert d["ok"] is True
-        assert d["sum"] == ["1"]
-
 
 class TestCounterexampleReport:
     def test_every_claim_passes(self):
@@ -312,9 +299,4 @@ class TestCounterexampleReport:
         failures = [c for c in report.claims if not c.ok]
         assert not failures, failures
         assert report.ok
-
-    def test_report_serializes(self):
-        d = counterexample_report().as_dict()
-        assert d["ok"] is True
-        assert len(d["claims"]) >= 20
-        assert all(set(c) == {"description", "expected", "computed", "pass"} for c in d["claims"])
+        assert len(report.claims) >= 20
