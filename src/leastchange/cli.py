@@ -35,8 +35,6 @@ from .valuesets import (
     check_inclusion,
     complement_identity_check,
     counterexample_report,
-    least_determinant,
-    least_determinant_binary,
 )
 
 def _compute(spec: TypeSpec, route: str) -> CoefficientTable:
@@ -116,8 +114,8 @@ def cmd_least(args, parser) -> int:
         "family": args.family,
         "n": args.n,
         "values": str(xset),
-        "least_det": str(least_determinant(spec, xset)),
-        "least_det_binary": str(least_determinant_binary(spec, xset)),
+        "least_det": str(attaining.value),
+        "least_det_binary": str(patterns.value),
         "attaining": len(attaining),
         "attaining_patterns": len(patterns),
         "by_nonzeros": {str(i): len(ms) for i, ms in attaining.partition().items()},
@@ -342,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=(*_SUITES, "all"))
-    p_verify.add_argument("--n", type=_positive_int, default=None)
+    p_verify.add_argument(
+        "--n", type=_positive_int, help="largest n for the routes suite (default 5, at "
+        "most 6) and the acyclic suite (default 4, at most 5); other suites ignore it"
+    )
     _add_workers(p_verify)
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
 

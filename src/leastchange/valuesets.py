@@ -13,8 +13,8 @@ equal to the family target), because then every determinant term beyond the
 forced ones vanishes identically; the classes are found by running the
 batched pertinence test of ``enumeration.pertinent_mask`` once over all 2^m
 patterns.  For a discrete set every assignment has positive probability, so
-plain minimization over assignments applies, with each determinant taken by
-the integer Bareiss kernel of ``matrices``.
+plain minimization over assignments applies: one integer array holds every
+assignment's determinant, built by cofactor expansion one row at a time.
 
 Which cells are variable and which are fixed at 1 comes from ``TypeSpec``
 alone: both scans visit the assignments in the order of its counter (value
@@ -41,7 +41,6 @@ from .matrices import (
     BinaryMatrix,
     RationalMatrix,
     TypeSpec,
-    det_int,
     determinant,
     permanent_expansion,
     support,
@@ -150,11 +149,6 @@ def _check_continuous_dim(spec: TypeSpec) -> None:
         raise DimensionError(f"continuous analysis supports n <= {CONTINUOUS_MAX_N}")
 
 
-def _pattern_budget(spec: TypeSpec) -> None:
-    if 1 << spec.m > DISCRETE_BUDGET:
-        raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
-
-
 def least_determinant(spec: TypeSpec, xset: ValueSet) -> Fraction:
     """Determinant value of least absolute value attainable with positive
     probability; ties between +u and -u resolve to the nonnegative one."""
@@ -166,15 +160,7 @@ def least_determinant(spec: TypeSpec, xset: ValueSet) -> Fraction:
 
 def attaining_matrices(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
     """All attaining assignments (discrete) or support classes (continuous)."""
-    if xset.kind == "continuous":
-        _check_continuous_dim(spec)
-        _pattern_budget(spec)
-        counters = np.arange(1 << spec.m, dtype=np.uint32)
-        hits = np.flatnonzero(pertinent_mask(spec, counters))
-        members = tuple(spec.matrix_from_bits(int(b)) for b in hits)
-        nonzeros = tuple(int(b).bit_count() for b in hits)
-        return AttainingSet(spec, Fraction(spec.target_permanent), members, nonzeros)
-    return _discrete_scan(spec, xset)
+    return _continuous_scan(spec) if xset.kind == "continuous" else _discrete_scan(spec, xset)
 
 
 def least_determinant_binary(spec: TypeSpec, xset: ValueSet) -> Fraction:
@@ -186,64 +172,78 @@ def least_determinant_binary(spec: TypeSpec, xset: ValueSet) -> Fraction:
     family target.
     """
     if xset.kind == "continuous":
-        _check_continuous_dim(spec)
-        return Fraction(spec.target_permanent)
+        return least_determinant(spec, xset)
     return _pattern_scan(spec).value
 
 
 def attaining_patterns(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
     """Binary matrices attaining the least binary determinant value."""
-    if xset.kind == "continuous":
-        return attaining_matrices(spec, xset)
-    return _pattern_scan(spec)
+    return _continuous_scan(spec) if xset.kind == "continuous" else _pattern_scan(spec)
+
+
+@lru_cache(maxsize=256)
+def _continuous_scan(spec: TypeSpec) -> AttainingSet:
+    """The pertinent patterns in counter order; they depend on the spec alone."""
+    _check_continuous_dim(spec)
+    if 1 << spec.m > DISCRETE_BUDGET:
+        raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
+    hits = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
+    members = tuple(spec.matrix_from_bits(int(b)) for b in hits)
+    nonzeros = tuple(int(b).bit_count() for b in hits)
+    return AttainingSet(spec, Fraction(spec.target_permanent), members, nonzeros)
 
 
 @lru_cache(maxsize=256)
 def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
-    """Every assignment in counter order; the attaining ones as matrices."""
+    """Least |det|, +u before -u, and its attainers from one determinant array."""
     if xset.kind != "discrete":
         raise ValueError("discrete scan needs a discrete value set")
-    values = list(xset.values)
-    m = spec.m
-    if len(values) ** m > DISCRETE_BUDGET:
-        raise BudgetError(
-            f"{len(values)}^{m} assignments exceed the {DISCRETE_BUDGET} budget"
-        )
-    n = spec.n
+    values = xset.values
+    k, m, n = len(values), spec.m, spec.n
+    if k**m > DISCRETE_BUDGET:
+        raise BudgetError(f"{k}^{m} assignments exceed the {DISCRETE_BUDGET} budget")
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [int(v * scale) for v in values]
-    zero_digit = values.index(0)
-    # product() turns its last factor fastest, so the last factor is cell 0
-    positions = [(i - 1, j - 1) for i, j in reversed(spec.variable_positions)]
-    # every cell off the variable positions is fixed at 1
-    base = [[scale] * n for _ in range(n)]
+    # every minor and partial Laplace sum is below n! * max|entry|^n
+    fits = math.factorial(n) * max(scale, *map(abs, scaled)) ** n < 1 << 62
+    dets = _determinants(spec, scaled, scale, np.int64 if fits else object)
+    least = int(np.abs(dets).min())
+    u_scaled = least if (dets == least).any() else -least
+    hits = np.flatnonzero(dets == u_scaled)
+    del dets
+    # members share row tuples: row i of a member is one of k^w_i candidates
+    nonzeros, rows = np.full(len(hits), m), []
+    for runs in spec.fields:
+        cols = [c for _, width, start in runs for c in range(start, start + width)]
+        digits = np.arange(k ** len(cols))[:, None] // k ** np.arange(len(cols)) % k
+        hits, row_hits = np.divmod(hits, len(digits))
+        table = np.full((len(digits), n), Fraction(1), dtype=object)
+        table[:, cols] = np.array(values, dtype=object)[digits]
+        rows.append(np.fromiter(map(tuple, table.tolist()), dtype=object)[row_hits])
+        nonzeros -= (digits == values.index(0)).sum(axis=1)[row_hits]
+    members = tuple(RationalMatrix(n, r) for r in zip(*rows))
+    return AttainingSet(spec, Fraction(u_scaled, scale**n), members, tuple(nonzeros.tolist()))
 
-    best: int | None = None
-    kept: list[tuple[int, tuple[int, ...]]] = []
-    for combo in itertools.product(range(len(values)), repeat=m):
-        for k, (i, j) in enumerate(positions):
-            base[i][j] = scaled[combo[k]]
-        d = det_int([row[:] for row in base])
-        a = abs(d)
-        if best is None or a < best:
-            best = a
-            kept = [(d, combo)]
-        elif a == best:
-            kept.append((d, combo))
-    u_scaled = best if any(d == best for d, _ in kept) else -best
-    one = Fraction(1)
-    members = []
-    nonzeros = []
-    for d, combo in kept:
-        if d != u_scaled:
-            continue
-        rows = [[one] * n for _ in range(n)]
-        for k, (i, j) in enumerate(positions):
-            rows[i][j] = values[combo[k]]
-        members.append(RationalMatrix(n, tuple(map(tuple, rows))))
-        nonzeros.append(m - combo.count(zero_digit))
-    value = Fraction(u_scaled, scale**n)
-    return AttainingSet(spec, value, tuple(members), tuple(nonzeros))
+
+def _determinants(spec: TypeSpec, scaled, scale: int, dtype) -> np.ndarray:
+    """Every assignment's determinant by counter (fixed cells hold ``scale``).
+    Cofactor expansion row by row: ``minors[s]`` is the minor of rows 0..i on
+    columns s for every assignment of those rows, which take the lower digits."""
+    n, k = spec.n, len(scaled)
+    minors = {(): np.ones(1, dtype=dtype)}
+    for i, runs in enumerate(spec.fields):
+        cols = [c for _, width, start in runs for c in range(start, start + width)]
+        digits = np.arange(k ** len(cols))[:, None] // k ** np.arange(len(cols)) % k
+        entries = np.full((len(digits), n), scale, dtype=dtype)
+        entries[:, cols] = np.array(scaled, dtype=dtype)[digits]
+        minors = {
+            s: np.ravel(
+                (entries[:, s] * (-1) ** (i + np.arange(i + 1)))
+                @ np.stack([minors[s[:p] + s[p + 1 :]] for p in range(i + 1)])
+            )
+            for s in itertools.combinations(range(n), i + 1)
+        }
+    return minors[tuple(range(n))]
 
 
 @lru_cache(maxsize=256)
@@ -319,7 +319,7 @@ def complement_identity_check() -> ComplementReport:
 
     Continuous side: probability that det = 1, summed over pertinent support
     classes with weight r^i (1-r)^(m-i).  Discrete side: probability that
-    det = 0, summed over every assignment counter of the spec with cell
+    det = 0, summed over the zeros of the spec's determinant array with cell
     weights w*r or 1-r.  Their polynomial sum must be exactly 1.
     """
     spec = TypeSpec("C", 2)
@@ -335,10 +335,9 @@ def complement_identity_check() -> ComplementReport:
 
     dis_poly = Polynomial.zero()
     weighted_r = x_dis.weight(1) * r
-    for bits in range(1 << spec.m):
-        if determinant(spec.matrix_from_bits(bits)) == 0:
-            i = bits.bit_count()
-            dis_poly = dis_poly + weighted_r**i * one_minus_r ** (spec.m - i)
+    for bits in np.flatnonzero(_determinants(spec, [0, 1], 1, np.int64) == 0).tolist():
+        i = bits.bit_count()
+        dis_poly = dis_poly + weighted_r**i * one_minus_r ** (spec.m - i)
 
     total = cnt_poly + dis_poly
     return ComplementReport(

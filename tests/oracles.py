@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 from leastchange import (
+    AttainingSet,
     BinaryMatrix,
     Polynomial,
     ProbabilityPolynomial,
@@ -16,6 +17,7 @@ from leastchange import (
     WeightedSeries,
     one_plus_t_power,
 )
+from leastchange.matrices import det_int
 from leastchange.probability import ChainReport, CurveSample, _chain_holds
 
 # --- matrices --------------------------------------------------------------
@@ -105,6 +107,50 @@ def assignment_counter(spec, values, member) -> int:
     """The counter of a member: digit k is the index of its k-th variable cell."""
     digits = [values.index(member.entry(i, j)) for i, j in spec.variable_positions]
     return sum(d * len(values) ** k for k, d in enumerate(digits))
+
+
+# --- valuesets ------------------------------------------------------------
+
+
+def discrete_scan_loop(spec, xset) -> AttainingSet:
+    """The discrete scan as one integer Bareiss call per assignment, in
+    counter order, with a running minimum, a tie list and a sign pass."""
+    values = list(xset.values)
+    n, m = spec.n, spec.m
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [int(v * scale) for v in values]
+    zero_digit = values.index(0)
+    # product() turns its last factor fastest, so the last factor is cell 0
+    positions = [(i - 1, j - 1) for i, j in reversed(spec.variable_positions)]
+    # every cell off the variable positions is fixed at 1
+    base = [[scale] * n for _ in range(n)]
+
+    best = None
+    kept = []
+    for combo in itertools.product(range(len(values)), repeat=m):
+        for k, (i, j) in enumerate(positions):
+            base[i][j] = scaled[combo[k]]
+        d = det_int([row[:] for row in base])
+        a = abs(d)
+        if best is None or a < best:
+            best = a
+            kept = [(d, combo)]
+        elif a == best:
+            kept.append((d, combo))
+    u_scaled = best if any(d == best for d, _ in kept) else -best
+    one = Fraction(1)
+    members = []
+    nonzeros = []
+    for d, combo in kept:
+        if d != u_scaled:
+            continue
+        rows = [[one] * n for _ in range(n)]
+        for k, (i, j) in enumerate(positions):
+            rows[i][j] = values[combo[k]]
+        members.append(RationalMatrix(n, tuple(map(tuple, rows))))
+        nonzeros.append(m - combo.count(zero_digit))
+    value = Fraction(u_scaled, scale**n)
+    return AttainingSet(spec, value, tuple(members), tuple(nonzeros))
 
 
 # --- genfunc ---------------------------------------------------------------

@@ -2,8 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import assignment_counter, nonzero_cells
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import assignment_counter, discrete_scan_loop, nonzero_cells
 
+import leastchange.valuesets as valuesets
 from leastchange import (
     AttainingSet,
     BinaryMatrix,
@@ -22,6 +25,7 @@ from leastchange import (
     permanent_expansion,
     support,
 )
+from leastchange.enumeration import pertinent_mask
 from leastchange.valuesets import _discrete_scan, _pattern_scan
 
 HALF = Fraction(1, 2)
@@ -226,6 +230,76 @@ class TestAttainingSets:
             sorted(map(support, scan.members), key=spec.bits_from_matrix)
         )
         assert (patterns.value, patterns.nonzeros) == (scan.value, scan.nonzeros)
+
+
+class TestDeterminantArray:
+    # the scan reads one determinant array; the per-assignment loop pins it
+    CASES = [
+        *itertools.product(
+            "ABC",
+            range(1, 4),
+            (
+                (0, 1),
+                (-1, 0, 1),
+                (0, HALF),
+                (0, HALF, 1, 2),
+                (0, 1, 2),
+                (0, HALF, Fraction(7, 2)),  # C2: both signs of 3/4 attain
+                (0, 1, 10**20),  # too wide for int64: the object array
+            ),
+        ),
+        ("B", 4, (0, 1)),
+        ("C", 4, (0, 1)),
+    ]
+
+    @staticmethod
+    def assert_matches_loop(spec, xset):
+        scan = _discrete_scan.__wrapped__(spec, xset)
+        loop = discrete_scan_loop(spec, xset)
+        assert scan.value == loop.value
+        assert scan.members == loop.members
+        assert scan.nonzeros == loop.nonzeros
+
+    @pytest.mark.parametrize(
+        "family, n, values",
+        CASES,
+        ids=[f"{f}{n}-{{{','.join(map(str, v))}}}" for f, n, v in CASES],
+    )
+    def test_scan_matches_the_loop(self, family, n, values):
+        self.assert_matches_loop(TypeSpec(family, n), ValueSet.discrete(values))
+
+    @given(
+        family=st.sampled_from("ABC"),
+        n=st.integers(1, 3),
+        nonzero=st.lists(
+            st.fractions(-10, 10, max_denominator=5).filter(bool),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+    )
+    def test_scan_matches_the_loop_on_drawn_value_sets(self, family, n, nonzero):
+        self.assert_matches_loop(TypeSpec(family, n), ValueSet.discrete([0, *nonzero]))
+
+
+class TestContinuousScan:
+    def test_one_pertinence_pass_per_spec(self, monkeypatch):
+        calls = []
+
+        def counting(spec, counters):
+            calls.append(spec)
+            return pertinent_mask(spec, counters)
+
+        monkeypatch.setattr(valuesets, "pertinent_mask", counting)
+        valuesets._continuous_scan.cache_clear()
+        spec = TypeSpec("B", 3)
+        sets = [
+            scan(spec, ValueSet.continuous(0, hi))
+            for hi in (2, 1)
+            for scan in (attaining_matrices, attaining_patterns)
+        ]
+        assert calls == [spec]
+        assert all(s == sets[0] for s in sets)
 
 
 class TestZeroOneInstance:
