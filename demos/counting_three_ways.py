@@ -11,7 +11,9 @@ from leastchange import (
     TypeSpec,
     count_dags_by_edges,
     count_pertinent,
+    gf_deficiency_table,
     gf_edge_table,
+    gf_reachability_table,
     verify_extremes,
 )
 
@@ -53,6 +55,24 @@ print("all three routes agree for n = 1..5")
 # The series route keeps going after exhaustive enumeration stops being fun:
 print("\nlabeled DAGs on 8 vertices by edge count has",
       len(gf_edge_table(8).coeffs), "entries; total =", gf_edge_table(8).total)
+
+# ---------------------------------------------------------------------------
+# Families A and B have series routes of their own: a Hall-deficiency split
+# for A (the largest row set whose neighbours fall furthest short of it) and a
+# reachability split for B (the vertices that vertex 1 reaches).  The
+# probability curves read these series; enumeration is the oracle that pins
+# them.
+# ---------------------------------------------------------------------------
+print()
+for family, series in (("A", gf_deficiency_table), ("B", gf_reachability_table)):
+    for n in range(1, 6):
+        enumerated = count_pertinent(TypeSpec(family, n))
+        table = series(n)
+        assert table.coeffs == enumerated.coeffs, f"family {family} routes disagree at n={n}"
+        print(f"family {family}, n={n}: enumeration {enumerated.total:>9}, series {table.total:>9}")
+print("family A, n=4 by the series:", gf_deficiency_table(4).coeffs)
+print("the series alone reach n=6: A total", gf_deficiency_table(6).total,
+      "and B total", gf_reachability_table(6).total)
 
 # ---------------------------------------------------------------------------
 # Tightness of the extremes: no pertinent matrix has fewer zeros than the

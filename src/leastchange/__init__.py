@@ -4,68 +4,48 @@ Counts the 0/1 matrices of three random-matrix families whose permanent
 equals the family target, three independent ways, and assembles the exact
 probability polynomials that a single-entry perturbation changes a
 determinant as little as possible.
+
+Exports and submodules load on first access (PEP 562), so numpy is imported
+only by the modules that scan arrays (``enumeration``, ``dags``,
+``valuesets``) and only when one of them is used.
 """
 
-from .dags import (
-    Digraph,
-    count_dags_by_edges,
-    digraph_to_matrix,
-    is_acyclic,
-    matrix_to_digraph,
-)
-from .enumeration import (
-    ExtremesReport,
-    count_pertinent,
-    has_perfect_matching,
-    is_pertinent,
-    total_pertinent,
-    verify_extremes,
-)
-from .errors import BudgetError, DimensionError, PatternError
-from .genfunc import (
-    Polynomial,
-    WeightedSeries,
-    edge_polynomial,
-    gf_edge_table,
-    one_plus_t_power,
-    reciprocal,
-    z_series_neg,
-)
-from .matrices import (
-    BinaryMatrix,
-    RationalMatrix,
-    TypeSpec,
-    determinant,
-    permanent_expansion,
-    support,
-)
-from .probability import (
-    ChainReport,
-    CurveSample,
-    ProbabilityPolynomial,
-    emit_curve,
-    family_tables,
-    find_order_violation,
-)
-from .tables import (
-    ROUTE_DAG_CENSUS,
-    ROUTE_ENUMERATION,
-    ROUTE_GENERATING_FUNCTION,
-    CoefficientTable,
-)
-from .valuesets import (
-    AttainingSet,
-    CheckReport,
-    ComplementReport,
-    InclusionReport,
-    ValueSet,
-    attaining_matrices,
-    attaining_patterns,
-    check_inclusion,
-    complement_identity_check,
-    counterexample_report,
-    least_determinant,
-    least_determinant_binary,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the names it exports
+_EXPORTED_BY = {
+    "dags": "Digraph count_dags_by_edges digraph_to_matrix is_acyclic matrix_to_digraph",
+    "enumeration": "ExtremesReport count_pertinent has_perfect_matching is_pertinent "
+    "total_pertinent verify_extremes",
+    "errors": "BudgetError DimensionError PatternError",
+    "genfunc": "Polynomial WeightedSeries edge_polynomial gf_deficiency_table gf_edge_table "
+    "gf_reachability_table one_plus_t_power reciprocal z_series_neg",
+    "matrices": "BinaryMatrix RationalMatrix TypeSpec determinant permanent_expansion support",
+    "probability": "ChainReport CurveSample ProbabilityPolynomial emit_curve family_tables "
+    "find_order_violation",
+    "tables": "ROUTE_DAG_CENSUS ROUTE_ENUMERATION ROUTE_GENERATING_FUNCTION CoefficientTable",
+    "valuesets": "AttainingSet CheckReport ComplementReport InclusionReport ValueSet "
+    "attaining_matrices attaining_patterns check_inclusion complement_identity_check "
+    "counterexample_report least_determinant least_determinant_binary",
+}
+_EXPORTS = {name: module for module, names in _EXPORTED_BY.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTED_BY, "cli", "reference"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

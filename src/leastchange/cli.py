@@ -2,6 +2,10 @@
 
 Exit codes: 0 success/agreement, 1 verification or agreement failure,
 2 usage error (including an output file that cannot be written).
+
+The array modules (``enumeration``, ``dags``, ``valuesets``) and numpy load
+inside the handlers that call them, so ``curve`` and the series route of
+``count`` start without numpy.
 """
 
 from __future__ import annotations
@@ -12,11 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import reference
-from .dags import CENSUS_MAX_N, count_dags_by_edges
-from .enumeration import ENUMERATION_MAX_N, count_pertinent, pertinent_mask
 from .errors import BudgetError, DimensionError, PatternError
 from .genfunc import gf_edge_table
 from .matrices import TypeSpec, permanent_expansion
@@ -28,19 +28,16 @@ from .tables import (
     ROUTES,
     CoefficientTable,
 )
-from .valuesets import (
-    ValueSet,
-    attaining_matrices,
-    attaining_patterns,
-    check_inclusion,
-    complement_identity_check,
-    counterexample_report,
-)
+
 
 def _compute(spec: TypeSpec, route: str) -> CoefficientTable:
     if route == ROUTE_ENUMERATION:
+        from .enumeration import count_pertinent
+
         return count_pertinent(spec)
     if route == ROUTE_DAG_CENSUS:
+        from .dags import count_dags_by_edges
+
         return count_dags_by_edges(spec.n)
     if route == ROUTE_GENERATING_FUNCTION:
         return gf_edge_table(spec.n)
@@ -49,6 +46,9 @@ def _compute(spec: TypeSpec, route: str) -> CoefficientTable:
 
 def _c_routes(n: int) -> list[str]:
     """Family-C routes that reach n: enumeration and census up to their caps."""
+    from .dags import CENSUS_MAX_N
+    from .enumeration import ENUMERATION_MAX_N
+
     routes = [ROUTE_ENUMERATION] if n <= ENUMERATION_MAX_N else []
     if n <= CENSUS_MAX_N:
         routes.append(ROUTE_DAG_CENSUS)
@@ -101,6 +101,8 @@ def _print_table(table: CoefficientTable, fmt: str, out) -> None:
 
 
 def cmd_least(args, parser) -> int:
+    from .valuesets import attaining_matrices, attaining_patterns
+
     spec = TypeSpec(args.family, args.n)
     try:
         xset = _value_set(args.values)
@@ -130,6 +132,8 @@ def cmd_least(args, parser) -> int:
 
 def _value_set(text: str) -> ValueSet:
     """A bracketed ``[lo:hi]`` is an interval; anything else a discrete literal."""
+    from .valuesets import ValueSet
+
     text = text.strip()
     if not text.startswith("["):
         return ValueSet.parse(text)
@@ -210,6 +214,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def _suite_tables(args) -> list[tuple[str, bool, str]]:
+    from .enumeration import count_pertinent
+
     out = []
     for family, rows in reference.REFERENCE_COUNTS.items():
         for n, expected in rows.items():
@@ -221,6 +227,8 @@ def _suite_tables(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_routes(args) -> list[tuple[str, bool, str]]:
+    from .dags import CENSUS_MAX_N
+
     n_max = args.n or 5
     if n_max > CENSUS_MAX_N:
         # beyond the census only the series route is left: nothing to agree with
@@ -237,6 +245,10 @@ def _suite_routes(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_acyclic(args) -> list[tuple[str, bool, str]]:
+    import numpy as np
+
+    from .enumeration import ENUMERATION_MAX_N, pertinent_mask
+
     n_max = args.n or 4
     if n_max > ENUMERATION_MAX_N:
         raise DimensionError(
@@ -258,6 +270,8 @@ def _suite_acyclic(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_witnesses(args) -> list[tuple[str, bool, str]]:
+    from .valuesets import counterexample_report
+
     report = counterexample_report()
     return [
         (claim.description, claim.ok, f"expected {claim.expected}, got {claim.computed}")
@@ -266,6 +280,8 @@ def _suite_witnesses(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_inclusion(args) -> list[tuple[str, bool, str]]:
+    from .valuesets import ValueSet, check_inclusion
+
     dis = ValueSet.discrete([0, Fraction(1, 2), 2])
     cnt = ValueSet.continuous(0, 2)
     out = []
@@ -280,12 +296,16 @@ def _suite_inclusion(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_complement(args) -> list[tuple[str, bool, str]]:
+    from .valuesets import complement_identity_check
+
     report = complement_identity_check()
     detail = f"sum coefficients {report.sum_coeffs}"
     return [("continuous + discrete probabilities sum to 1", report.ok, detail)]
 
 
 def _suite_oeis(args) -> list[tuple[str, bool, str]]:
+    from .enumeration import count_pertinent
+
     out = []
     for family, totals in reference.PUBLISHED_TOTALS.items():
         for n, expected in enumerate(totals, start=1):

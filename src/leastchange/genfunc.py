@@ -1,4 +1,4 @@
-"""Generating-function route to the acyclic-digraph edge tables.
+"""Generating-function routes to the coefficient tables of all three families.
 
 Everything lives in a weighted series basis: position n of a series stands
 for the z^n coefficient a_n(t) / (n! * (1+t)^C(n,2)).  In that basis the
@@ -14,6 +14,12 @@ over candidate source sets: every acyclic digraph on one or more vertices has
 at least one source (a vertex with in-degree 0), so the signed sum over
 "these k vertices form an independent source set" telescopes, and inverting
 the alternating series is exactly that cancellation.
+
+Families A and B (permanent zero) have series routes of their own, both in
+the same integer polynomials: a reachability split for B (Robinson, "Counting
+labeled acyclic digraphs", 1973) and a Hall-deficiency split for A
+(Frobenius-Koenig; the Dulmage-Mendelsohn decomposition in Lovasz & Plummer,
+*Matching Theory*).  The A totals are OEIS A088672.
 """
 
 from __future__ import annotations
@@ -249,3 +255,90 @@ def gf_edge_table(n: int) -> CoefficientTable:
     return CoefficientTable.from_counts(
         TypeSpec("C", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
     )
+
+
+def gf_reachability_table(n: int) -> CoefficientTable:
+    """Family-B coefficient table: term n-1 of e * reciprocal(d) * e.
+
+    With x_11 variable and the rest of the diagonal fixed at 1, the permanent
+    is zero exactly when x_11 = 0 and vertex 1 lies on no cycle of the
+    off-diagonal digraph, i.e. no vertex reachable from 1 has an arc into 1.
+    Split by the set of the other j vertices that 1 reaches: arcs out of it
+    stay inside it and never enter 1, and the n-1-j vertices left send arcs
+    anywhere.  With e_j = (1+t)^(j^2) counting every digraph on 1 plus j
+    vertices with no arc into 1, and g_j those in which 1 reaches all j, the
+    split reads B = g * e in the weighted convolution, and the same split of
+    e_j itself reads e = g * d with d_j = (1+t)^(j(j-1)).
+    """
+    _check_series_dim(n)
+    d = WeightedSeries([one_plus_t_power(j * (j - 1)) for j in range(n)])
+    e = WeightedSeries([one_plus_t_power(j * j) for j in range(n)])
+    poly = (e * reciprocal(d) * e).terms[n - 1]
+    return CoefficientTable.from_counts(
+        TypeSpec("B", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
+    )
+
+
+def gf_deficiency_table(n: int) -> CoefficientTable:
+    """Family-A coefficient table: (1+t)^(n^2) less the matchable matrices.
+
+    For an a x b 0/1 matrix let d(X) = |X| - |N(X)| over row sets X.  It is
+    supermodular, so its maximizers have a unique largest member S*, with
+    T* = N(S*).  The block S* x T* lets every column of T* be matched into
+    S*, the rows outside S* have strict surplus (|N(X)| > |X| for nonempty
+    X) in the columns outside T*, they meet T* freely, and S* meets nothing
+    else.  Counting every matrix by (|S*|, |T*|) = (s, tau) gives
+
+        (1+t)^(ab) = sum C(a,s) C(b,tau) M(tau,s) K(a-s,b-tau) (1+t)^((a-s) tau)
+
+    over s <= a and tau <= min(s, b), where M(a, b) counts the matrices whose
+    rows can all be matched (the tau = s part) and K(a, b) those with strict
+    surplus, which is impossible once a >= b and a >= 1.  Solved level by level in
+    a + b: for a < b the (0, 0) term yields K, then M; for a > b the sum must
+    yield K = 0, a free self-check; for a = b the (a, a) term yields M(a, a).
+    """
+    _check_series_dim(n)
+    matched = {(0, b): Polynomial.one() for b in range(n + 1)}
+    surplus = dict(matched)
+
+    def rest(a, b, skip):
+        acc = Polynomial.zero()
+        for s in range(a + 1):
+            for tau in range(min(s, b) + 1):
+                if (s, tau) != skip:
+                    acc = acc + (
+                        math.comb(a, s) * math.comb(b, tau) * matched[tau, s]
+                        * surplus[a - s, b - tau] * one_plus_t_power((a - s) * tau)
+                    )
+        return one_plus_t_power(a * b) - acc
+
+    for level in range(1, 2 * n + 1):
+        pairs = [(a, level - a) for a in range(max(1, level - n), min(level, n) + 1)]
+        # a < b first, then a > b (which reads M(b, a)), then a = b
+        for a, b in sorted(pairs, key=lambda ab: (ab[0] >= ab[1], ab[0] == ab[1])):
+            if a < b:
+                surplus[a, b] = rest(a, b, (0, 0))
+                matched[a, b] = sum(
+                    (
+                        math.comb(a, s) * math.comb(b, s) * matched[s, s]
+                        * surplus[a - s, b - s] * one_plus_t_power((a - s) * s)
+                        for s in range(a + 1)
+                    ),
+                    Polynomial.zero(),
+                )
+            elif a > b:
+                surplus[a, b] = rest(a, b, (0, 0))
+                if not surplus[a, b].is_zero():
+                    raise RuntimeError(f"deficiency split leaves surplus at {a}x{b}")
+            else:
+                surplus[a, a] = Polynomial.zero()
+                matched[a, a] = rest(a, a, (a, a))
+    poly = one_plus_t_power(n * n) - matched[n, n]
+    return CoefficientTable.from_counts(
+        TypeSpec("A", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
+    )
+
+
+def _check_series_dim(n: int) -> None:
+    if not 1 <= n <= GF_MAX_N:
+        raise DimensionError(f"series routes support 1..{GF_MAX_N}, got {n}")

@@ -5,7 +5,12 @@ variable elements, the probability is sum_i E(i) * r^i * (1-r)^(m-i).
 The weighted-power basis is the only representation (it is numerically
 stable on [0, 1]).  At r = p/q the value is N / q^m with the integer
 N = sum_i E(i) p^i (q-p)^(m-i), so exact evaluation is one Horner pass in
-integers and a single Fraction at the end.
+integers and a single Fraction at the end.  Curves skip even that Fraction:
+a sample keeps P_A, P_B and P_C as integers over the common denominator
+q^(n^2) (the largest of the three m), the chain is tested on those integers,
+and each CSV value is one integer true division, which rounds the rational
+exactly as ``float(Fraction)`` does.  The default tables come from the series
+routes of ``genfunc``, so curves never load numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import count_pertinent
-from .genfunc import gf_edge_table
+from .errors import DimensionError
+from .genfunc import gf_deficiency_table, gf_edge_table, gf_reachability_table
 from .matrices import TypeSpec
 from .tables import CoefficientTable
+
+CURVE_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -53,25 +60,49 @@ class ProbabilityPolynomial:
 
 
 def family_tables(n: int) -> dict[str, CoefficientTable]:
-    """Default tables for all three families at dimension n.
+    """Default tables for all three families at dimension n, n <= 5.
 
-    A and B come from exhaustive enumeration (so n <= 5); C comes from the
-    generating-function route, which the test suite pins against the other
-    two routes.
+    All three come from the series routes: the deficiency series for A, the
+    reachability series for B and the reciprocal series for C.  The test
+    suite pins A and B against exhaustive enumeration and C against
+    enumeration and the DAG census.  The series reach further, but past
+    n = 5 the sampled chain boundary is not to be trusted, so curves stop
+    there.
     """
+    if not 1 <= n <= CURVE_MAX_N:
+        raise DimensionError(f"curves support n = 1..{CURVE_MAX_N}, got {n}")
     return {
-        "A": count_pertinent(TypeSpec("A", n)),
-        "B": count_pertinent(TypeSpec("B", n)),
+        "A": gf_deficiency_table(n),
+        "B": gf_reachability_table(n),
         "C": gf_edge_table(n),
     }
 
 
 @dataclass(frozen=True)
 class CurveSample:
+    """P_A, P_B and P_C at r as numerators a, b, c over one positive denominator.
+
+    Curves keep the Horner integers over q^(n^2) at r = p/q; ``p_a``,
+    ``p_b`` and ``p_c`` build the reduced Fractions only when read.
+    """
+
     r: Fraction
-    p_a: Fraction
-    p_b: Fraction
-    p_c: Fraction
+    a: numbers.Rational
+    b: numbers.Rational
+    c: numbers.Rational
+    denominator: int = 1
+
+    @property
+    def p_a(self) -> Fraction:
+        return Fraction(self.a, self.denominator)
+
+    @property
+    def p_b(self) -> Fraction:
+        return Fraction(self.b, self.denominator)
+
+    @property
+    def p_c(self) -> Fraction:
+        return Fraction(self.c, self.denominator)
 
 
 CSV_HEADER = "r,P_A,P_B,P_C"
@@ -89,7 +120,14 @@ def _samples(n: int, grid, tables) -> list[CurveSample]:
     if [tables[s.family].spec for s in specs] != specs:
         raise ValueError(f"tables must belong to families A, B, C at n={n}")
     polys = [ProbabilityPolynomial(tables[s.family]) for s in specs]
-    return [CurveSample(r, *(p.evaluate(r) for p in polys)) for r in grid]
+    # P = N / q^m for each family; lifting N by q^(n^2 - m) shares q^(n^2)
+    lifts = [n * n - s.m for s in specs]
+    samples = []
+    for r in grid:
+        p, q = r.numerator, r.denominator
+        a, b, c = (f._homogeneous(p, q - p) * q**k for f, k in zip(polys, lifts))
+        samples.append(CurveSample(r, a, b, c, q ** (n * n)))
+    return samples
 
 
 def emit_curve(n: int, grid_step, sink=None, tables=None) -> list[CurveSample]:
@@ -104,13 +142,14 @@ def emit_curve(n: int, grid_step, sink=None, tables=None) -> list[CurveSample]:
     if sink is not None:
         sink.write(CSV_HEADER + "\n")
         for s in samples:
-            row = ",".join(_format(v) for v in (s.r, s.p_a, s.p_b, s.p_c))
-            sink.write(row + "\n")
+            values = (s.r, s.a / s.denominator, s.b / s.denominator, s.c / s.denominator)
+            sink.write(",".join(_format(v) for v in values) + "\n")
     return samples
 
 
 def _chain_holds(sample: CurveSample) -> bool:
-    a, b, c = sample.p_a, sample.p_b, sample.p_c
+    # a, b and c share one positive denominator, so they compare as P_A, P_B, P_C
+    a, b, c = sample.a, sample.b, sample.c
     return a > b > c and (a - b) > (b - c)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -195,22 +195,12 @@ def _continuous_scan(spec: TypeSpec) -> AttainingSet:
 
 @lru_cache(maxsize=256)
 def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
-    """Least |det|, +u before -u, and its attainers from one determinant array."""
+    """Least |det|, +u before -u, and its attaining assignments."""
     if xset.kind != "discrete":
         raise ValueError("discrete scan needs a discrete value set")
     values = xset.values
     k, m, n = len(values), spec.m, spec.n
-    if k**m > DISCRETE_BUDGET:
-        raise BudgetError(f"{k}^{m} assignments exceed the {DISCRETE_BUDGET} budget")
-    scale = math.lcm(*(v.denominator for v in values))
-    scaled = [int(v * scale) for v in values]
-    # every minor and partial Laplace sum is below n! * max|entry|^n
-    fits = math.factorial(n) * max(scale, *map(abs, scaled)) ** n < 1 << 62
-    dets = _determinants(spec, scaled, scale, np.int64 if fits else object)
-    least = int(np.abs(dets).min())
-    u_scaled = least if (dets == least).any() else -least
-    hits = np.flatnonzero(dets == u_scaled)
-    del dets
+    least, hits = _least_counters(spec, values)
     # members share row tuples: row i of a member is one of k^w_i candidates
     nonzeros, rows = np.full(len(hits), m), []
     for runs in spec.fields:
@@ -222,7 +212,35 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
         rows.append(np.fromiter(map(tuple, table.tolist()), dtype=object)[row_hits])
         nonzeros -= (digits == values.index(0)).sum(axis=1)[row_hits]
     members = tuple(RationalMatrix(n, r) for r in zip(*rows))
-    return AttainingSet(spec, Fraction(u_scaled, scale**n), members, tuple(nonzeros.tolist()))
+    return AttainingSet(spec, least, members, tuple(nonzeros.tolist()))
+
+
+def _least_counters(spec: TypeSpec, values: tuple[Fraction, ...]) -> tuple[Fraction, np.ndarray]:
+    """Least |det| (+u before -u) over the value digits, and the counters of
+    the assignments attaining it, ascending."""
+    least, attaining = _attaining_bits(spec, values)
+    return least, np.flatnonzero(np.unpackbits(attaining, count=len(values) ** spec.m))
+
+
+@lru_cache(maxsize=256)
+def _attaining_bits(spec: TypeSpec, values: tuple[Fraction, ...]) -> tuple[Fraction, np.ndarray]:
+    """Least |det| and one packed bit per assignment, set where it is attained,
+    from one determinant array.  Cached so that the {0, 1} discrete scan and
+    the pattern scan of a spec share one array; packed, an entry costs an
+    eighth of a byte per assignment and does not grow with the attainers."""
+    k, m, n = len(values), spec.m, spec.n
+    if k**m > DISCRETE_BUDGET:
+        raise BudgetError(f"{k}^{m} assignments exceed the {DISCRETE_BUDGET} budget")
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [int(v * scale) for v in values]
+    # every minor and partial Laplace sum is below n! * max|entry|^n
+    fits = math.factorial(n) * max(scale, *map(abs, scaled)) ** n < 1 << 62
+    dets = _determinants(spec, scaled, scale, np.int64 if fits else object)
+    least = int(np.abs(dets).min())
+    u_scaled = least if (dets == least).any() else -least
+    attaining = np.packbits(dets == u_scaled)
+    attaining.flags.writeable = False  # cached, and shared by both scans
+    return Fraction(u_scaled, scale**n), attaining
 
 
 def _determinants(spec: TypeSpec, scaled, scale: int, dtype) -> np.ndarray:
@@ -248,9 +266,15 @@ def _determinants(spec: TypeSpec, scaled, scale: int, dtype) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _pattern_scan(spec: TypeSpec) -> AttainingSet:
-    """The discrete scan over {0, 1}, members as patterns in counter order."""
-    scan = _discrete_scan(spec, ValueSet.discrete([0, 1]))
-    return replace(scan, members=tuple(map(support, scan.members)))
+    """The discrete scan over {0, 1}, members as patterns in counter order.
+
+    Over {0, 1} the value digits are the bits of the pattern counter, so each
+    attaining counter decodes straight to its pattern.
+    """
+    least, hits = _least_counters(spec, (Fraction(0), Fraction(1)))
+    counters = hits.tolist()
+    members = tuple(map(spec.matrix_from_bits, counters))
+    return AttainingSet(spec, least, members, tuple(b.bit_count() for b in counters))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from leastchange import cli
+from leastchange import enumeration
 from leastchange.cli import main
 
 
@@ -234,14 +234,15 @@ class TestVerify:
         assert out.count("PASS") == 3
 
     def test_acyclic_suite_reads_the_batched_predicate(self, capsys, monkeypatch):
-        real = cli.pertinent_mask
+        real = enumeration.pertinent_mask
 
         def flipped(spec, counters):
             mask = real(spec, counters)
             mask[-1] = not mask[-1]
             return mask
 
-        monkeypatch.setattr(cli, "pertinent_mask", flipped)
+        # the suite imports the predicate when it runs, so patch it at the source
+        monkeypatch.setattr(enumeration, "pertinent_mask", flipped)
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 1
         assert "FAIL  permanent-1 vs acyclic n=3" in out

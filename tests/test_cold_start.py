@@ -1,0 +1,92 @@
+"""Cold-start guards: what a fresh interpreter loads for each entry point.
+
+Only the array modules (``enumeration``, ``dags``, ``valuesets``) import
+numpy, and the package loads its submodules on first access, so importing
+the CLI, drawing curves and the series route of ``count`` never load numpy.
+Every check runs in a new interpreter: this test session imported numpy
+long ago.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(code: str) -> list[str]:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def numpy_loaded_after(code: str) -> bool:
+    last = run_fresh(code + "\nimport sys\nprint('numpy' in sys.modules)")[-1]
+    return {"True": True, "False": False}[last]
+
+
+MAIN = "from leastchange.cli import main\n"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import leastchange.cli",
+        MAIN + "assert main(['curve', '--n', '4', '--step', '1/100']) == 0",
+        MAIN + "assert main(['count', '--family', 'C', '--n', '6', '--route', 'gf']) == 0",
+    ],
+    ids=["import-cli", "curve", "count-gf"],
+)
+def test_numpy_is_not_loaded(code):
+    assert not numpy_loaded_after(code)
+
+
+def test_enumeration_loads_numpy():
+    # the probe itself can see numpy, so the guards above can fail
+    code = MAIN + "assert main(['count', '--family', 'A', '--n', '3']) == 0"
+    assert numpy_loaded_after(code)
+
+
+def test_every_export_resolves():
+    lines = run_fresh(
+        "import leastchange\n"
+        "for name in leastchange.__all__:\n"
+        "    assert getattr(leastchange, name) is not None, name\n"
+        "print(len(leastchange.__all__))"
+    )
+    assert int(lines[-1]) > 0
+
+
+def test_array_modules_resolve_by_attribute():
+    # the benchmark's tracer reaches modules as attributes of the package
+    lines = run_fresh(
+        "import leastchange\n"
+        "for name in ('enumeration', 'dags', 'valuesets'):\n"
+        "    print(getattr(leastchange, name).__name__)"
+    )
+    assert lines == ["leastchange.enumeration", "leastchange.dags", "leastchange.valuesets"]
+
+
+def test_dir_lists_the_exports():
+    lines = run_fresh(
+        "import leastchange\n"
+        "print(sorted(set(leastchange.__all__) - set(dir(leastchange))))\n"
+        "try:\n"
+        "    leastchange.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')"
+    )
+    assert lines == ["[]", "AttributeError"]

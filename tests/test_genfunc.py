@@ -15,12 +15,16 @@ from leastchange import (
     count_dags_by_edges,
     count_pertinent,
     edge_polynomial,
+    family_tables,
+    genfunc,
+    gf_deficiency_table,
     gf_edge_table,
+    gf_reachability_table,
     one_plus_t_power,
     reciprocal,
     z_series_neg,
 )
-from leastchange.reference import REFERENCE_COUNTS
+from leastchange.reference import PUBLISHED_TOTALS, REFERENCE_COUNTS
 from leastchange.tables import ROUTE_GENERATING_FUNCTION
 
 
@@ -198,3 +202,57 @@ class TestGfTable:
         table = gf_edge_table(6)
         assert table.total == 3781503
         assert len(table.coeffs) == 16
+
+
+ZERO_PERMANENT_SERIES = [("A", gf_deficiency_table), ("B", gf_reachability_table)]
+
+
+class TestZeroPermanentSeries:
+    """The A and B series against enumeration, their oracle, and the published rows."""
+
+    @pytest.mark.parametrize("family, series", ZERO_PERMANENT_SERIES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_enumeration_and_reference(self, family, series, n):
+        table = series(n)
+        assert table.route == ROUTE_GENERATING_FUNCTION
+        assert table.spec == TypeSpec(family, n)
+        assert table.coeffs == count_pertinent(table.spec).coeffs
+        assert table.coeffs == REFERENCE_COUNTS[family][n]
+
+    def test_a_totals_match_the_published_sequence(self):
+        # OEIS A088672; the quoted n = 5 total is the pinned one-digit misprint
+        totals = [gf_deficiency_table(n).total for n in range(1, 6)]
+        assert totals[:4] == list(PUBLISHED_TOTALS["A"][:4])
+        assert totals[4] == 10_363_361 != PUBLISHED_TOTALS["A"][4]
+
+    def test_a6_total_and_tail(self):
+        table = gf_deficiency_table(6)
+        assert table.total == 13_906_734_081
+        assert table.coeffs[-3:] == (5220, 360, 12)
+
+    def test_b6_total(self):
+        assert gf_reachability_table(6).total == 79_331_328
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_family_tables_are_pinned_by_enumeration(self, n):
+        tables = family_tables(n)
+        for family in "AB":
+            assert tables[family].route == ROUTE_GENERATING_FUNCTION
+            assert tables[family].coeffs == count_pertinent(TypeSpec(family, n)).coeffs
+
+    def test_surplus_self_check_raises(self, monkeypatch):
+        # a wrong (1+t)^0 breaks the identity K(a, b) = 0 for a > b at 2x1
+        real = genfunc.one_plus_t_power
+
+        def broken(exponent):
+            return real(exponent) + (Polynomial.variable() if exponent == 0 else 0)
+
+        monkeypatch.setattr(genfunc, "one_plus_t_power", broken)
+        with pytest.raises(RuntimeError, match="surplus at 2x1"):
+            gf_deficiency_table(4)
+
+    @pytest.mark.parametrize("family, series", ZERO_PERMANENT_SERIES)
+    def test_dimension_guard(self, family, series):
+        for n in (0, 25):
+            with pytest.raises(DimensionError):
+                series(n)

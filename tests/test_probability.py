@@ -15,6 +15,7 @@ from oracles import (
 )
 
 from leastchange import (
+    DimensionError,
     ProbabilityPolynomial,
     TypeSpec,
     count_pertinent,
@@ -251,6 +252,32 @@ class TestEmitCurve:
         assert first.r == Fraction(1, 100)
         for v in (first.p_a, first.p_b, first.p_c):
             assert v > Fraction(98, 100)
+
+
+class TestCurveSamples:
+    """Samples keep integer numerators; their fields are evaluate's Fractions."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_fields_are_the_evaluated_fractions(self, n):
+        samples = emit_curve(n, Fraction(1, 60))
+        polys = [poly(f, n) for f in "ABC"]
+        assert [s.r for s in samples] == [Fraction(k, 60) for k in range(1, 60)]
+        for s in samples:
+            assert s.denominator == s.r.denominator ** (n * n)
+            assert all(type(x) is int for x in (s.a, s.b, s.c))
+            for value, p in zip((s.p_a, s.p_b, s.p_c), polys):
+                expected = p.evaluate(s.r)
+                assert type(value) is Fraction
+                assert (value.numerator, value.denominator) == (
+                    expected.numerator,
+                    expected.denominator,
+                )
+
+    def test_default_tables_stop_at_n5(self):
+        with pytest.raises(DimensionError):
+            family_tables(6)
+        with pytest.raises(DimensionError):
+            emit_curve(6, Fraction(1, 4))
 
 
 class TestOrderViolation:

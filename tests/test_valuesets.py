@@ -302,6 +302,39 @@ class TestContinuousScan:
         assert all(s == sets[0] for s in sets)
 
 
+class TestPatternScan:
+    ZERO_ONE = ValueSet.discrete([0, 1])
+
+    @pytest.mark.parametrize(
+        "family, n", [*itertools.product("ABC", (1, 2, 3)), ("B", 4), ("C", 4)]
+    )
+    def test_patterns_are_the_supports_of_the_discrete_members(self, family, n):
+        # the patterns decode the attaining counters; mapping support over the
+        # rational members of the {0, 1} scan is the slow route they replace
+        spec = TypeSpec(family, n)
+        scan = _discrete_scan(spec, self.ZERO_ONE)
+        patterns = _pattern_scan(spec)
+        assert patterns.members == tuple(map(support, scan.members))
+        assert (patterns.value, patterns.nonzeros) == (scan.value, scan.nonzeros)
+
+    def test_one_determinant_array_per_spec(self, monkeypatch):
+        calls = []
+
+        def counting(spec, *args):
+            calls.append(spec)
+            return determinants(spec, *args)
+
+        determinants = valuesets._determinants
+        monkeypatch.setattr(valuesets, "_determinants", counting)
+        for scan in (valuesets._attaining_bits, _discrete_scan, _pattern_scan):
+            scan.cache_clear()
+        spec = TypeSpec("C", 3)
+        attaining_matrices(spec, self.ZERO_ONE)
+        attaining_patterns(spec, self.ZERO_ONE)
+        least_determinant_binary(spec, ValueSet.discrete([0, HALF]))
+        assert calls == [spec]
+
+
 class TestZeroOneInstance:
     # value sets [0,1] and {0,1}: the least values genuinely diverge
     def test_continuous_side(self):
