@@ -15,6 +15,16 @@ at least one source (a vertex with in-degree 0), so the signed sum over
 "these k vertices form an independent source set" telescopes, and inverting
 the alternating series is exactly that cancellation.
 
+Polynomial products use Kronecker substitution (Kronecker 1882; Schoenhage,
+"Asymptotically fast algorithms for the numerical multiplication and
+division of polynomials with complex coefficients", 1982): each factor is
+evaluated at 2^(8w) by packing its coefficients w bytes apiece into one
+Python int, the two ints are multiplied once (CPython uses Karatsuba at
+these sizes), and the product's w-byte digits are its coefficients.  The
+width w is chosen from an exact bound on the product's coefficients, so the
+decoding never needs a check.  Rational polynomials are scaled to integers
+by their common denominator and divided back afterwards.
+
 Families A and B (permanent zero) have series routes of their own, both in
 the same integer polynomials: a reachability split for B (Robinson, "Counting
 labeled acyclic digraphs", 1973) and a Hall-deficiency split for A
@@ -42,7 +52,7 @@ class Polynomial:
 
     def __init__(self, coefficients=()):
         coeffs = [
-            int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+            int(c) if type(c) is Fraction and c.denominator == 1 else c
             for c in coefficients
         ]
         while coeffs and coeffs[-1] == 0:
@@ -81,6 +91,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its value, so it must hash like it
+        if len(self.coefficients) <= 1:
+            return hash(self[0])
         return hash(self.coefficients)
 
     def __add__(self, other):
@@ -105,16 +118,18 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.coefficients, _coerce(other).coefficients
+        if not a or not b:
             return Polynomial()
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    out[i + j] += u * v
-        return Polynomial(out)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            return Polynomial([c * b[0] for c in a])
+        den_a, a = _integer_coefficients(a)
+        den_b, b = _integer_coefficients(b)
+        out = _kronecker_product(a, b)
+        den = den_a * den_b
+        return Polynomial(out if den == 1 else [Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -151,6 +166,44 @@ class Polynomial:
             else:
                 parts.append(f"{c}*t^{i}")
         return "Polynomial(" + " + ".join(parts) + ")"
+
+
+def _integer_coefficients(coeffs):
+    """(d, d * coeffs) with d the least common denominator of the coefficients."""
+    den = math.lcm(*[c.denominator for c in coeffs if type(c) is Fraction])
+    if den == 1:
+        return 1, coeffs
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _kronecker_product(a, b) -> list[int]:
+    """Coefficients of the product of two integer polynomials of length >= 2.
+
+    Kronecker substitution: both polynomials are evaluated at 2^(8w), packed
+    w bytes a coefficient, and multiplied once as Python ints.  Every product
+    coefficient is a sum of at most min(len a, len b) terms, so its absolute
+    value is below 2^(8w-1) for the w chosen here; adding 2^(8w-1) to every
+    w-byte slot then makes each slot a nonnegative digit, and one to_bytes
+    call cuts the product into them exactly.
+    """
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    bound = min(len(a), len(b)) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
+    w = (bound.bit_length() + 8) // 8
+    size = len(a) + len(b) - 1
+    offset = int.from_bytes((bytes(w - 1) + b"\x80") * size, "little")
+    digits = (_pack(a, lo_a, w) * _pack(b, lo_b, w) + offset).to_bytes(w * size, "little")
+    half = 1 << (8 * w - 1)
+    from_bytes = int.from_bytes  # bound once: looking it up per slot doubles the cost
+    return [from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
+
+
+def _pack(coeffs, lowest: int, w: int) -> int:
+    """sum_i coeffs[i] * 2^(8wi), as its positive part less its negative part."""
+    if lowest >= 0:
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
+    positive = b"".join([(c if c > 0 else 0).to_bytes(w, "little") for c in coeffs])
+    negative = b"".join([(-c if c < 0 else 0).to_bytes(w, "little") for c in coeffs])
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 def _coerce(value) -> Polynomial:
@@ -244,8 +297,7 @@ def edge_polynomial(n: int) -> Polynomial:
     term is the answer itself.  Truncating the series at order n suffices,
     since term n of a reciprocal depends only on terms 0..n.
     """
-    if not 1 <= n <= GF_MAX_N:
-        raise DimensionError(f"edge polynomial supports 1..{GF_MAX_N}, got {n}")
+    _check_series_dim(n)
     return reciprocal(z_series_neg(n)).terms[n]
 
 

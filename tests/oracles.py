@@ -17,6 +17,7 @@ from leastchange import (
     WeightedSeries,
     one_plus_t_power,
 )
+from leastchange.genfunc import _coerce
 from leastchange.matrices import det_int
 from leastchange.probability import ChainReport, CurveSample, _chain_holds
 
@@ -154,6 +155,20 @@ def discrete_scan_loop(spec, xset) -> AttainingSet:
 
 
 # --- genfunc ---------------------------------------------------------------
+
+
+def schoolbook_product(p: Polynomial, q) -> Polynomial:
+    """Polynomial product by the double loop over coefficient pairs."""
+    q = _coerce(q)
+    if p.is_zero() or q.is_zero():
+        return Polynomial()
+    a, b = p.coefficients, q.coefficients
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return Polynomial(out)
 
 
 def derivative(poly: Polynomial) -> Polynomial:

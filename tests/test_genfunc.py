@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import coefficient_at, coefficient_by_differentiation, derivative, z_series
+from oracles import (
+    coefficient_at,
+    coefficient_by_differentiation,
+    derivative,
+    schoolbook_product,
+    z_series,
+)
 
 from leastchange import (
     DimensionError,
@@ -57,6 +63,87 @@ class TestPolynomial:
     def test_one_plus_t_power(self):
         assert one_plus_t_power(0) == Polynomial((1,))
         assert one_plus_t_power(3).coefficients == (1, 3, 3, 1)
+
+
+    def test_constants_hash_like_their_value(self):
+        assert len({Polynomial.one(), 1}) == 1
+        assert len({Polynomial.zero(), 0}) == 1
+        assert hash(Polynomial((Fraction(-3, 4),))) == hash(Fraction(-3, 4))
+        assert {Polynomial((7,)): "seven"}[7] == "seven"
+
+
+big_int = st.integers(-(2**300), 2**300)
+ratio = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**12))
+int_poly = st.lists(big_int, min_size=1, max_size=40).map(Polynomial)
+mixed_poly = st.lists(st.one_of(big_int, ratio), min_size=1, max_size=40).map(Polynomial)
+
+
+class TestKroneckerProduct:
+    """``Polynomial.__mul__`` (one packed-integer product) against the double loop."""
+
+    @given(int_poly, int_poly)
+    def test_signed_integers_match_the_schoolbook_product(self, p, q):
+        assert p * q == schoolbook_product(p, q)
+
+    @given(mixed_poly, mixed_poly)
+    def test_fractions_match_the_schoolbook_product(self, p, q):
+        product = p * q
+        assert product == schoolbook_product(p, q)
+        assert all(type(c) is int or c.denominator > 1 for c in product.coefficients)
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 8])
+    @pytest.mark.parametrize("bits_below", [1, 0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bound_on_a_byte_boundary(self, w, bits_below, sign):
+        # (x + x t)(1 + t) = x + 2x t + x t^2 attains the bound 2x, taken as
+        # the largest even number of bit length 8w - 1 and then of 8w
+        x = 2 ** (8 * w - bits_below - 1) - 1
+        assert (2 * x).bit_length() == 8 * w - bits_below
+        p, q = Polynomial((sign * x, sign * x)), Polynomial((1, 1))
+        expected = (sign * x, sign * 2 * x, sign * x)
+        assert (p * q).coefficients == expected
+        assert (q * p).coefficients == expected
+        assert schoolbook_product(p, q).coefficients == expected
+
+    def test_zero_operand(self):
+        p = Polynomial((3, -1, 4))
+        for zero in (Polynomial.zero(), 0, Fraction(0)):
+            assert (p * zero).is_zero()
+            assert (zero * p).is_zero()
+        assert (Polynomial.zero() * Polynomial.zero()).is_zero()
+
+    def test_constant_operand(self):
+        p = Polynomial((3, -1, 4))
+        assert (p * 2).coefficients == (6, -2, 8)
+        assert (Polynomial((-5,)) * p).coefficients == (-15, 5, -20)
+        assert (p * Fraction(1, 2)).coefficients == (Fraction(3, 2), Fraction(-1, 2), 2)
+        assert (Polynomial((7,)) * Polynomial((-6,))).coefficients == (-42,)
+
+    def test_every_coefficient_negative(self):
+        p = Polynomial((-1, -2, -3))
+        q = Polynomial((-4, -(2**200)))
+        assert (p * q).coefficients == (4, 2**200 + 8, 2**201 + 12, 3 * 2**200)
+        assert p * q == schoolbook_product(p, q)
+        assert (p * p).coefficients == (1, 4, 10, 12, 9)
+
+    def test_fraction_product_returns_to_integers_when_it_can(self):
+        half_t = Polynomial((Fraction(1, 2), Fraction(1, 2)))
+        assert (half_t * Polynomial((2, -2))).coefficients == (1, 0, -1)
+        assert all(type(c) is int for c in (half_t * Polynomial((2, -2))).coefficients)
+
+
+class TestTablesUnderTheOracleProduct:
+    """Whole series tables with the schoolbook loop patched in as the product."""
+
+    @pytest.mark.parametrize(
+        "series, n",
+        [(gf_edge_table, 24), (gf_reachability_table, 16), (gf_deficiency_table, 8)],
+    )
+    def test_tables_equal_coefficient_for_coefficient(self, monkeypatch, series, n):
+        kernel = series(n).coeffs
+        monkeypatch.setattr(Polynomial, "__mul__", schoolbook_product)
+        monkeypatch.setattr(Polynomial, "__rmul__", schoolbook_product)
+        assert series(n).coeffs == kernel
 
 
 class TestBaseSeries:
