@@ -1,30 +1,33 @@
 """Command-line interface: count tables, emit curves, run verification suites.
 
+Every family has the enumeration and series routes, family C also the DAG
+census; how far each reaches is ``tables.ROUTE_MAX_N``.
+
 Exit codes: 0 success/agreement, 1 verification or agreement failure,
 2 usage error (including an output file that cannot be written).
 
 The array modules (``enumeration``, ``dags``, ``valuesets``) and numpy load
-inside the handlers that call them, so ``curve`` and the series route of
-``count`` start without numpy.
+inside the handlers that call them, so ``curve``, the series route of
+``count`` and every route-reach check start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import reference
 from .errors import BudgetError, DimensionError, PatternError
-from .genfunc import gf_edge_table
+from .genfunc import series_table
 from .matrices import TypeSpec, permanent_expansion
 from .probability import emit_curve, family_tables, find_order_violation
 from .tables import (
     ROUTE_DAG_CENSUS,
     ROUTE_ENUMERATION,
     ROUTE_GENERATING_FUNCTION,
+    ROUTE_MAX_N,
     ROUTES,
     CoefficientTable,
 )
@@ -39,30 +42,22 @@ def _compute(spec: TypeSpec, route: str) -> CoefficientTable:
         from .dags import count_dags_by_edges
 
         return count_dags_by_edges(spec.n)
-    if route == ROUTE_GENERATING_FUNCTION:
-        return gf_edge_table(spec.n)
-    raise ValueError(f"unknown route {route!r}")
+    return series_table(spec)
 
 
-def _c_routes(n: int) -> list[str]:
-    """Family-C routes that reach n: enumeration and census up to their caps."""
-    from .dags import CENSUS_MAX_N
-    from .enumeration import ENUMERATION_MAX_N
-
-    routes = [ROUTE_ENUMERATION] if n <= ENUMERATION_MAX_N else []
-    if n <= CENSUS_MAX_N:
-        routes.append(ROUTE_DAG_CENSUS)
-    return routes + [ROUTE_GENERATING_FUNCTION]
+def _routes(spec: TypeSpec) -> list[str]:
+    """The routes that reach spec.n, the census for family C alone; past every
+    reach, the series alone, whose guard then rejects n."""
+    reach = [route for route in ROUTES if spec.n <= ROUTE_MAX_N[route]]
+    routes = [route for route in reach if route != ROUTE_DAG_CENSUS or spec.family == "C"]
+    return routes or [ROUTE_GENERATING_FUNCTION]
 
 
 def cmd_count(args, parser) -> int:
     spec = TypeSpec(args.family, args.n)
-    if args.route in (ROUTE_DAG_CENSUS, ROUTE_GENERATING_FUNCTION) and args.family != "C":
-        parser.error(f"route {args.route} applies only to family C")
-    if args.route == "all":
-        routes = _c_routes(args.n) if args.family == "C" else [ROUTE_ENUMERATION]
-    else:
-        routes = [args.route]
+    if args.route == ROUTE_DAG_CENSUS and args.family != "C":
+        parser.error(f"route {ROUTE_DAG_CENSUS} applies only to family C")
+    routes = _routes(spec) if args.route == "all" else [args.route]
 
     tables = [_compute(spec, route) for route in routes]
     out = _open_out(args.out)
@@ -227,33 +222,34 @@ def _suite_tables(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_routes(args) -> list[tuple[str, bool, str]]:
-    from .dags import CENSUS_MAX_N
-
     n_max = args.n or 5
-    if n_max > CENSUS_MAX_N:
+    census_max = ROUTE_MAX_N[ROUTE_DAG_CENSUS]
+    if n_max > census_max:
         # beyond the census only the series route is left: nothing to agree with
         raise DimensionError(
-            f"routes suite needs the DAG census, which supports n <= {CENSUS_MAX_N}, got {n_max}"
+            f"routes suite needs the DAG census, which supports n <= {census_max}, got {n_max}"
         )
     out = []
-    for n in range(1, n_max + 1):
-        spec = TypeSpec("C", n)
-        coeffs = {_compute(spec, route).coeffs for route in _c_routes(n)}
-        ok = len(coeffs) == 1
-        out.append((f"routes agree C n={n}", ok, "" if ok else "mismatch"))
+    for spec in [TypeSpec(family, n) for family in "ABC" for n in range(1, n_max + 1)]:
+        routes = _routes(spec)
+        if len(routes) > 1:
+            coeffs = {_compute(spec, route).coeffs for route in routes}
+            ok = len(coeffs) == 1
+            out.append((f"routes agree {spec.family} n={spec.n}", ok, "" if ok else "mismatch"))
     return out
 
 
 def _suite_acyclic(args) -> list[tuple[str, bool, str]]:
+    n_max = args.n or 4
+    enumeration_max = ROUTE_MAX_N[ROUTE_ENUMERATION]
+    if n_max > enumeration_max:
+        raise DimensionError(
+            f"acyclic suite visits all 2^(n^2-n) masks, n <= {enumeration_max}, got {n_max}"
+        )
     import numpy as np
 
-    from .enumeration import ENUMERATION_MAX_N, pertinent_mask
+    from .enumeration import pertinent_mask
 
-    n_max = args.n or 4
-    if n_max > ENUMERATION_MAX_N:
-        raise DimensionError(
-            f"acyclic suite visits all 2^(n^2-n) masks, n <= {ENUMERATION_MAX_N}, got {n_max}"
-        )
     out = []
     for n in range(1, n_max + 1):
         # the batched predicate the counts use, against the permanent per matrix
@@ -374,9 +370,8 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=_positive_int,
-        default=os.environ.get("LEASTCHANGE_WORKERS", "1"),
-        help="accepted for compatibility (default $LEASTCHANGE_WORKERS or 1); "
-        "has no effect, counting runs in one process",
+        default=1,
+        help="accepted for compatibility; has no effect, counting runs in one process",
     )
 
 

@@ -16,11 +16,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionError
 from .matrices import BinaryMatrix, TypeSpec
-from .tables import ROUTE_DAG_CENSUS, CoefficientTable
-
-CENSUS_MAX_N = 6
+from .tables import ROUTE_DAG_CENSUS, CoefficientTable, check_reach
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,7 @@ def count_dags_by_edges(n: int) -> CoefficientTable:
     3^(n(n-1)/2) pair states are decoded in numpy batches and kept where the
     vectorized source peel empties the graph.
     """
-    if not 1 <= n <= CENSUS_MAX_N:
-        raise DimensionError(f"DAG census supports 1..{CENSUS_MAX_N}, got {n}")
+    check_reach(ROUTE_DAG_CENSUS, n)
     spec = TypeSpec("C", n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total_states = 3 ** len(pairs)

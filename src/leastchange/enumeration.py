@@ -44,9 +44,8 @@ import numpy as np
 from .dags import acyclic_mask
 from .errors import DimensionError
 from .matrices import BinaryMatrix, TypeSpec, permanent_expansion
-from .tables import ROUTE_ENUMERATION, CoefficientTable
+from .tables import ROUTE_ENUMERATION, CoefficientTable, check_reach
 
-ENUMERATION_MAX_N = 5
 _BATCH_SIZE = 1 << 20
 
 _table_cache: dict[tuple[str, int], CoefficientTable] = {}
@@ -78,10 +77,7 @@ def has_perfect_matching(matrix: BinaryMatrix) -> bool:
 
 def count_pertinent(spec: TypeSpec) -> CoefficientTable:
     """Count pertinent matrices by number of one-valued variable elements."""
-    if spec.n > ENUMERATION_MAX_N:
-        raise DimensionError(
-            f"exhaustive enumeration supports n <= {ENUMERATION_MAX_N}, got {spec.n}"
-        )
+    check_reach(ROUTE_ENUMERATION, spec.n)
     key = (spec.family, spec.n)
     if key in _table_cache:
         return _table_cache[key]

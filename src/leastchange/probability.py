@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError
-from .genfunc import gf_deficiency_table, gf_edge_table, gf_reachability_table
+from .genfunc import series_table
 from .matrices import TypeSpec
 from .tables import CoefficientTable
 
@@ -62,20 +62,15 @@ class ProbabilityPolynomial:
 def family_tables(n: int) -> dict[str, CoefficientTable]:
     """Default tables for all three families at dimension n, n <= 5.
 
-    All three come from the series routes: the deficiency series for A, the
-    reachability series for B and the reciprocal series for C.  The test
-    suite pins A and B against exhaustive enumeration and C against
+    All three come from the series routes (``genfunc.series_table``).  The
+    test suite pins A and B against exhaustive enumeration and C against
     enumeration and the DAG census.  The series reach further, but past
     n = 5 the sampled chain boundary is not to be trusted, so curves stop
     there.
     """
     if not 1 <= n <= CURVE_MAX_N:
         raise DimensionError(f"curves support n = 1..{CURVE_MAX_N}, got {n}")
-    return {
-        "A": gf_deficiency_table(n),
-        "B": gf_reachability_table(n),
-        "C": gf_edge_table(n),
-    }
+    return {family: series_table(TypeSpec(family, n)) for family in "ABC"}
 
 
 @dataclass(frozen=True)

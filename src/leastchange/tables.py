@@ -6,6 +6,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .errors import DimensionError
 from .matrices import TypeSpec
 
 ROUTE_ENUMERATION = "enumeration"
@@ -14,6 +15,15 @@ ROUTE_GENERATING_FUNCTION = "gf"
 
 # each route's name is also its command-line token and its JSON value
 ROUTES = (ROUTE_ENUMERATION, ROUTE_DAG_CENSUS, ROUTE_GENERATING_FUNCTION)
+
+# largest n each route reaches: 2^m counters, 3^C(n,2) pair states, series terms
+ROUTE_MAX_N = {ROUTE_ENUMERATION: 5, ROUTE_DAG_CENSUS: 6, ROUTE_GENERATING_FUNCTION: 24}
+
+
+def check_reach(route: str, n: int) -> None:
+    """Raise ``DimensionError`` unless ``route`` reaches dimension n."""
+    if not 1 <= n <= ROUTE_MAX_N[route]:
+        raise DimensionError(f"route {route} supports n = 1..{ROUTE_MAX_N[route]}, got {n}")
 
 
 @dataclass(frozen=True)

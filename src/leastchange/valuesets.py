@@ -188,9 +188,7 @@ def _continuous_scan(spec: TypeSpec) -> AttainingSet:
     if 1 << spec.m > DISCRETE_BUDGET:
         raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
     hits = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
-    members = tuple(spec.matrix_from_bits(int(b)) for b in hits)
-    nonzeros = tuple(int(b).bit_count() for b in hits)
-    return AttainingSet(spec, Fraction(spec.target_permanent), members, nonzeros)
+    return _patterns(spec, Fraction(spec.target_permanent), hits)
 
 
 @lru_cache(maxsize=256)
@@ -199,20 +197,27 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
     if xset.kind != "discrete":
         raise ValueError("discrete scan needs a discrete value set")
     values = xset.values
-    k, m, n = len(values), spec.m, spec.n
     least, hits = _least_counters(spec, values)
     # members share row tuples: row i of a member is one of k^w_i candidates
-    nonzeros, rows = np.full(len(hits), m), []
+    nonzeros, rows = np.full(len(hits), spec.m), []
+    for digits, table in _row_entries(spec, values, Fraction(1), object):
+        hits, row_hits = np.divmod(hits, len(digits))
+        rows.append(np.fromiter(map(tuple, table.tolist()), dtype=object)[row_hits])
+        nonzeros -= (digits == values.index(0)).sum(axis=1)[row_hits]
+    members = tuple(RationalMatrix(spec.n, r) for r in zip(*rows))
+    return AttainingSet(spec, least, members, tuple(nonzeros.tolist()))
+
+
+def _row_entries(spec: TypeSpec, values, fixed, dtype):
+    """Per row of ``spec.fields``: the digits of its k^w assignments, lowest
+    first, and the (k^w, n) array of their entries, ``fixed`` in fixed cells."""
+    k = len(values)
     for runs in spec.fields:
         cols = [c for _, width, start in runs for c in range(start, start + width)]
         digits = np.arange(k ** len(cols))[:, None] // k ** np.arange(len(cols)) % k
-        hits, row_hits = np.divmod(hits, len(digits))
-        table = np.full((len(digits), n), Fraction(1), dtype=object)
-        table[:, cols] = np.array(values, dtype=object)[digits]
-        rows.append(np.fromiter(map(tuple, table.tolist()), dtype=object)[row_hits])
-        nonzeros -= (digits == values.index(0)).sum(axis=1)[row_hits]
-    members = tuple(RationalMatrix(n, r) for r in zip(*rows))
-    return AttainingSet(spec, least, members, tuple(nonzeros.tolist()))
+        entries = np.full((len(digits), spec.n), fixed, dtype=dtype)
+        entries[:, cols] = np.array(values, dtype=dtype)[digits]
+        yield digits, entries
 
 
 def _least_counters(spec: TypeSpec, values: tuple[Fraction, ...]) -> tuple[Fraction, np.ndarray]:
@@ -247,13 +252,9 @@ def _determinants(spec: TypeSpec, scaled, scale: int, dtype) -> np.ndarray:
     """Every assignment's determinant by counter (fixed cells hold ``scale``).
     Cofactor expansion row by row: ``minors[s]`` is the minor of rows 0..i on
     columns s for every assignment of those rows, which take the lower digits."""
-    n, k = spec.n, len(scaled)
+    n = spec.n
     minors = {(): np.ones(1, dtype=dtype)}
-    for i, runs in enumerate(spec.fields):
-        cols = [c for _, width, start in runs for c in range(start, start + width)]
-        digits = np.arange(k ** len(cols))[:, None] // k ** np.arange(len(cols)) % k
-        entries = np.full((len(digits), n), scale, dtype=dtype)
-        entries[:, cols] = np.array(scaled, dtype=dtype)[digits]
+    for i, (_, entries) in enumerate(_row_entries(spec, scaled, scale, dtype)):
         minors = {
             s: np.ravel(
                 (entries[:, s] * (-1) ** (i + np.arange(i + 1)))
@@ -272,9 +273,14 @@ def _pattern_scan(spec: TypeSpec) -> AttainingSet:
     attaining counter decodes straight to its pattern.
     """
     least, hits = _least_counters(spec, (Fraction(0), Fraction(1)))
-    counters = hits.tolist()
+    return _patterns(spec, least, hits)
+
+
+def _patterns(spec: TypeSpec, value: Fraction, counters: np.ndarray) -> AttainingSet:
+    """Attaining set of the patterns of ascending counters, nonzeros their bit counts."""
+    counters = counters.tolist()
     members = tuple(map(spec.matrix_from_bits, counters))
-    return AttainingSet(spec, least, members, tuple(b.bit_count() for b in counters))
+    return AttainingSet(spec, value, members, tuple(b.bit_count() for b in counters))
 
 
 @dataclass(frozen=True)

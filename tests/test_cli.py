@@ -12,6 +12,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def route_tables(out):
+    """(route, coefficients) of each table in ``count`` text output."""
+    lines = out.splitlines()
+    return [
+        (header.split("route=")[1], coeffs.removeprefix("coeffs: "))
+        for header, coeffs in zip(lines[::3], lines[1::3])
+    ]
+
+
 class TestCount:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "count", "--family", "A", "--n", "1")
@@ -55,12 +64,32 @@ class TestCount:
     def test_route_all_family_a_single_route(self, capsys):
         code, out, _ = run(capsys, "count", "--family", "A", "--n", "2", "--route", "all")
         assert code == 0
-        assert out.count("coeffs:") == 1
+        assert route_tables(out) == [("enumeration", "1 4 4"), ("gf", "1 4 4")]
 
     def test_invalid_route_for_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(capsys, "count", "--family", "A", "--n", "3", "--route", "gf")
+            run(capsys, "count", "--family", "A", "--n", "3", "--route", "dag")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_route_all_compares_enumeration_and_series(self, capsys, family, n):
+        code, out, _ = run(capsys, "count", "--family", family, "--n", str(n), "--route", "all")
+        assert code == 0
+        (first, coeffs), (second, again) = route_tables(out)
+        assert (first, second) == ("enumeration", "gf")
+        assert coeffs == again
+
+    def test_series_route_for_family_b_beyond_enumeration(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "B", "--n", "6", "--route", "gf")
+        assert code == 0
+        assert "total: 79331328" in out.splitlines()
+
+    def test_route_all_beyond_every_reach_is_an_error(self, capsys):
+        code, out, err = run(capsys, "count", "--family", "A", "--n", "25", "--route", "all")
+        assert code == 2
+        assert out == ""
+        assert "1..24" in err
 
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -74,19 +103,13 @@ class TestCount:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "abc"])
-    def test_bad_workers_environment_is_usage_error(self, capsys, monkeypatch, workers):
-        monkeypatch.setenv("LEASTCHANGE_WORKERS", workers)
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "count", "--family", "A", "--n", "2")
-        assert exc.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
-
-    def test_workers_environment_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("LEASTCHANGE_WORKERS", "2")
-        code, out, _ = run(capsys, "count", "--family", "B", "--n", "3")
+    def test_workers_environment_variable_is_ignored(self, capsys, monkeypatch):
+        argv = ("count", "--family", "C", "--n", "3", "--route", "gf")
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setenv("LEASTCHANGE_WORKERS", "abc")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert "coeffs: 1 6 13 10 2" in out
+        assert out == expected
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"
@@ -250,7 +273,18 @@ class TestVerify:
     def test_routes_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "routes", "--n", "4")
         assert code == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 12
+
+    def test_routes_suite_covers_every_family(self, capsys):
+        code, out, _ = run(capsys, "verify", "routes", "--n", "6")
+        assert code == 0
+        names = [line.split(None, 1)[1] for line in out.splitlines()]
+        assert all(line.startswith("PASS") for line in out.splitlines())
+        assert names == [
+            f"routes agree {family} n={n}"
+            for family, n_max in (("A", 5), ("B", 5), ("C", 6))
+            for n in range(1, n_max + 1)
+        ]
 
     def test_routes_suite_beyond_census_cap(self, capsys):
         code, out, err = run(capsys, "verify", "routes", "--n", "7")

@@ -2,7 +2,8 @@
 
 Only the array modules (``enumeration``, ``dags``, ``valuesets``) import
 numpy, and the package loads its submodules on first access, so importing
-the CLI, drawing curves and the series route of ``count`` never load numpy.
+the CLI, drawing curves, the series route of ``count`` and the route-reach
+checks never load numpy.
 Every check runs in a new interpreter: this test session imported numpy
 long ago.
 """
@@ -47,8 +48,11 @@ MAIN = "from leastchange.cli import main\n"
         "import leastchange.cli",
         MAIN + "assert main(['curve', '--n', '4', '--step', '1/100']) == 0",
         MAIN + "assert main(['count', '--family', 'C', '--n', '6', '--route', 'gf']) == 0",
+        MAIN + "assert main(['count', '--family', 'C', '--n', '7', '--route', 'all']) == 0",
+        MAIN + "assert main(['count', '--family', 'A', '--n', '6', '--route', 'gf']) == 0",
+        MAIN + "assert main(['verify', 'routes', '--n', '7']) == 2",
     ],
-    ids=["import-cli", "curve", "count-gf"],
+    ids=["import-cli", "curve", "count-gf", "count-all-past-census", "count-gf-a", "routes-cap"],
 )
 def test_numpy_is_not_loaded(code):
     assert not numpy_loaded_after(code)

@@ -31,7 +31,8 @@ from leastchange import (
     z_series_neg,
 )
 from leastchange.reference import PUBLISHED_TOTALS, REFERENCE_COUNTS
-from leastchange.tables import ROUTE_GENERATING_FUNCTION
+from leastchange.genfunc import series_table
+from leastchange.tables import ROUTE_GENERATING_FUNCTION, ROUTE_MAX_N, ROUTES, check_reach
 
 
 class TestPolynomial:
@@ -343,3 +344,34 @@ class TestZeroPermanentSeries:
         for n in (0, 25):
             with pytest.raises(DimensionError):
                 series(n)
+
+
+class TestRouteMap:
+    """``series_table`` maps each family to its series; ``check_reach`` bounds every route."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_series_table_is_the_family_series(self, n):
+        named = {"A": gf_deficiency_table, "B": gf_reachability_table, "C": gf_edge_table}
+        for family, series in named.items():
+            assert series_table(TypeSpec(family, n)) == series(n)
+
+    def test_series_table_reads_the_names_when_called(self, monkeypatch):
+        calls = []
+
+        def traced(n):
+            calls.append(n)
+            return gf_edge_table(n)
+
+        monkeypatch.setattr(genfunc, "gf_edge_table", traced)
+        assert series_table(TypeSpec("C", 4)).total == 543
+        assert family_tables(3)["C"].total == 25
+        assert calls == [4, 3]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_check_reach_bounds_every_route(self, route):
+        cap = ROUTE_MAX_N[route]
+        check_reach(route, 1)
+        check_reach(route, cap)
+        for n in (0, cap + 1):
+            with pytest.raises(DimensionError, match=f"route {route} supports n = 1..{cap}"):
+                check_reach(route, n)
