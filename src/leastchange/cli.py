@@ -335,7 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", required=True, type=int)
     p_count.add_argument("--route", default=ROUTE_ENUMERATION, choices=ROUTES + ("all",))
     p_count.add_argument("--format", default="text", choices=("json", "csv", "text"))
-    _add_workers(p_count)
+    p_count.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility; has no effect, counting runs in one process",
+    )
     p_count.add_argument("--out", default=None)
 
     p_curve = sub.add_parser("curve", help="probability curves for all families")
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_least.add_argument(
         "--values",
         required=True,
-        help="0,1/2@1/2,2@1/2 (weights optional) or an interval [0:2]; "
+        help="comma-separated fractions such as 0,1/2,2 or an interval [0:2]; "
         "a set whose first entry is negative is written --values=-1,0,1",
     )
     p_least.add_argument("--format", default="text", choices=("json", "text"))
@@ -360,19 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_positive_int, help="largest n for the routes suite (default 5, at "
         "most 6) and the acyclic suite (default 4, at most 5); other suites ignore it"
     )
-    _add_workers(p_verify)
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
 
     return parser
-
-
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="accepted for compatibility; has no effect, counting runs in one process",
-    )
 
 
 def main(argv=None) -> int:

@@ -22,8 +22,7 @@ evaluated at 2^(8w) by packing its coefficients w bytes apiece into one
 Python int, the two ints are multiplied once (CPython uses Karatsuba at
 these sizes), and the product's w-byte digits are its coefficients.  The
 width w is chosen from an exact bound on the product's coefficients, so the
-decoding never needs a check.  Rational polynomials are scaled to integers
-by their common denominator and divided back afterwards.
+decoding never needs a check.
 
 Families A and B (permanent zero) have series routes of their own, both in
 the same integer polynomials: a reachability split for B (Robinson, "Counting
@@ -35,7 +34,7 @@ labeled acyclic digraphs", 1973) and a Hall-deficiency split for A
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 from functools import lru_cache
 
 from .matrices import TypeSpec
@@ -43,15 +42,12 @@ from .tables import ROUTE_GENERATING_FUNCTION, CoefficientTable, check_reach
 
 
 class Polynomial:
-    """Dense one-variable polynomial with exact coefficients."""
+    """Dense one-variable polynomial with integer coefficients."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=()):
-        coeffs = [
-            int(c) if type(c) is Fraction and c.denominator == 1 else c
-            for c in coefficients
-        ]
+        coeffs = list(map(operator.index, coefficients))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -83,7 +79,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.coefficients == other.coefficients
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == Polynomial((other,))
         return NotImplemented
 
@@ -122,11 +118,7 @@ class Polynomial:
             a, b = b, a
         if len(b) == 1:
             return Polynomial([c * b[0] for c in a])
-        den_a, a = _integer_coefficients(a)
-        den_b, b = _integer_coefficients(b)
-        out = _kronecker_product(a, b)
-        den = den_a * den_b
-        return Polynomial(out if den == 1 else [Fraction(c, den) for c in out])
+        return Polynomial(_kronecker_product(a, b))
 
     __rmul__ = __mul__
 
@@ -165,14 +157,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def _integer_coefficients(coeffs):
-    """(d, d * coeffs) with d the least common denominator of the coefficients."""
-    den = math.lcm(*[c.denominator for c in coeffs if type(c) is Fraction])
-    if den == 1:
-        return 1, coeffs
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def _kronecker_product(a, b) -> list[int]:
     """Coefficients of the product of two integer polynomials of length >= 2.
 
@@ -206,7 +190,7 @@ def _pack(coeffs, lowest: int, w: int) -> int:
 def _coerce(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Polynomial((value,))
     raise TypeError(f"cannot mix Polynomial with {type(value).__name__}")
 

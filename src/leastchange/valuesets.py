@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import pertinent_mask
-from .errors import BudgetError, DimensionError
+from .errors import BudgetError
 from .genfunc import Polynomial
 from .matrices import (
     BinaryMatrix,
@@ -47,36 +47,24 @@ from .matrices import (
 )
 
 DISCRETE_BUDGET = 20_000_000
-CONTINUOUS_MAX_N = 5
 
 
 @dataclass(frozen=True)
 class ValueSet:
-    """Finite rational value set with weights, or an interval around 0."""
+    """Finite rational value set, or an interval around 0."""
 
     kind: str
     values: tuple[Fraction, ...] = ()
-    weights: tuple[tuple[Fraction, Fraction], ...] = ()
     interval: tuple[Fraction, Fraction] | None = None
 
     @classmethod
-    def discrete(cls, values, weights=None) -> "ValueSet":
+    def discrete(cls, values) -> "ValueSet":
         vals = sorted({Fraction(v) for v in values})
         if Fraction(0) not in vals:
             raise ValueError("a value set must contain 0")
-        nonzero = [v for v in vals if v != 0]
-        if not nonzero:
+        if len(vals) == 1:
             raise ValueError("a discrete value set needs at least one nonzero value")
-        if weights is None:
-            w = Fraction(1, len(nonzero))
-            weights = {v: w for v in nonzero}
-        else:
-            weights = {Fraction(v): Fraction(w) for v, w in weights.items()}
-        if sorted(weights) != nonzero:
-            raise ValueError("weights must cover exactly the nonzero values")
-        if any(w <= 0 for w in weights.values()) or sum(weights.values()) != 1:
-            raise ValueError("weights must be positive and sum to 1")
-        return cls("discrete", tuple(vals), tuple(sorted(weights.items())))
+        return cls("discrete", tuple(vals))
 
     @classmethod
     def continuous(cls, lo, hi) -> "ValueSet":
@@ -89,27 +77,14 @@ class ValueSet:
 
     @classmethod
     def parse(cls, text: str) -> "ValueSet":
-        """Literal like ``0,1/2@1/2,2@1/2``; weights default to uniform."""
+        """Literal like ``0,1/2,2``: comma-separated fractions."""
         values = []
-        weights = {}
         for token in text.split(","):
             token = token.strip()
             if not token:
                 raise ValueError("empty entry in value-set literal")
-            if "@" in token:
-                v, w = token.split("@", 1)
-                value = Fraction(v)
-                weights[value] = Fraction(w)
-            else:
-                value = Fraction(token)
-            values.append(value)
-        return cls.discrete(values, weights or None)
-
-    def weight(self, value) -> Fraction:
-        for v, w in self.weights:
-            if v == value:
-                return w
-        raise KeyError(f"{value} has no weight")
+            values.append(Fraction(token))
+        return cls.discrete(values)
 
     def contains(self, value) -> bool:
         value = Fraction(value)
@@ -144,16 +119,10 @@ class AttainingSet:
         return {i: tuple(ms) for i, ms in sorted(groups.items())}
 
 
-def _check_continuous_dim(spec: TypeSpec) -> None:
-    if spec.n > CONTINUOUS_MAX_N:
-        raise DimensionError(f"continuous analysis supports n <= {CONTINUOUS_MAX_N}")
-
-
 def least_determinant(spec: TypeSpec, xset: ValueSet) -> Fraction:
     """Determinant value of least absolute value attainable with positive
     probability; ties between +u and -u resolve to the nonnegative one."""
     if xset.kind == "continuous":
-        _check_continuous_dim(spec)
         return Fraction(spec.target_permanent)
     return _discrete_scan(spec, xset).value
 
@@ -184,7 +153,6 @@ def attaining_patterns(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
 @lru_cache(maxsize=256)
 def _continuous_scan(spec: TypeSpec) -> AttainingSet:
     """The pertinent patterns in counter order; they depend on the spec alone."""
-    _check_continuous_dim(spec)
     if 1 << spec.m > DISCRETE_BUDGET:
         raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
     hits = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
@@ -350,11 +318,10 @@ def complement_identity_check() -> ComplementReport:
     Continuous side: probability that det = 1, summed over pertinent support
     classes with weight r^i (1-r)^(m-i).  Discrete side: probability that
     det = 0, summed over the zeros of the spec's determinant array with cell
-    weights w*r or 1-r.  Their polynomial sum must be exactly 1.
+    weights r or 1-r.  Their polynomial sum must be exactly 1.
     """
     spec = TypeSpec("C", 2)
     x_cnt = ValueSet.continuous(0, 1)
-    x_dis = ValueSet.discrete([0, 1])
 
     r = Polynomial.variable()
     one_minus_r = Polynomial((1, -1))
@@ -364,10 +331,9 @@ def complement_identity_check() -> ComplementReport:
         cnt_poly = cnt_poly + r**i * one_minus_r ** (spec.m - i)
 
     dis_poly = Polynomial.zero()
-    weighted_r = x_dis.weight(1) * r
     for bits in np.flatnonzero(_determinants(spec, [0, 1], 1, np.int64) == 0).tolist():
         i = bits.bit_count()
-        dis_poly = dis_poly + weighted_r**i * one_minus_r ** (spec.m - i)
+        dis_poly = dis_poly + r**i * one_minus_r ** (spec.m - i)
 
     total = cnt_poly + dis_poly
     return ComplementReport(

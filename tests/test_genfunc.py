@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,10 +57,14 @@ class TestPolynomial:
     def test_derivative(self):
         assert derivative(Polynomial((5, 3, 2))).coefficients == (3, 4)
 
-    def test_integral_fractions_normalize_to_int(self):
-        p = Polynomial((Fraction(2, 1), Fraction(1, 2)))
-        assert p.coefficients == (2, Fraction(1, 2))
-        assert isinstance(p.coefficients[0], int)
+    def test_rejects_fraction_coefficients(self):
+        with pytest.raises(TypeError):
+            Polynomial((Fraction(1, 2),))
+
+    def test_numpy_integers_become_ints(self):
+        p = Polynomial((np.int64(3), 1))
+        assert p.coefficients == (3, 1)
+        assert all(type(c) is int for c in p.coefficients)
 
     def test_one_plus_t_power(self):
         assert one_plus_t_power(0) == Polynomial((1,))
@@ -69,14 +74,11 @@ class TestPolynomial:
     def test_constants_hash_like_their_value(self):
         assert len({Polynomial.one(), 1}) == 1
         assert len({Polynomial.zero(), 0}) == 1
-        assert hash(Polynomial((Fraction(-3, 4),))) == hash(Fraction(-3, 4))
         assert {Polynomial((7,)): "seven"}[7] == "seven"
 
 
 big_int = st.integers(-(2**300), 2**300)
-ratio = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**12))
 int_poly = st.lists(big_int, min_size=1, max_size=40).map(Polynomial)
-mixed_poly = st.lists(st.one_of(big_int, ratio), min_size=1, max_size=40).map(Polynomial)
 
 
 class TestKroneckerProduct:
@@ -85,12 +87,6 @@ class TestKroneckerProduct:
     @given(int_poly, int_poly)
     def test_signed_integers_match_the_schoolbook_product(self, p, q):
         assert p * q == schoolbook_product(p, q)
-
-    @given(mixed_poly, mixed_poly)
-    def test_fractions_match_the_schoolbook_product(self, p, q):
-        product = p * q
-        assert product == schoolbook_product(p, q)
-        assert all(type(c) is int or c.denominator > 1 for c in product.coefficients)
 
     @pytest.mark.parametrize("w", [1, 2, 3, 8])
     @pytest.mark.parametrize("bits_below", [1, 0])
@@ -108,7 +104,7 @@ class TestKroneckerProduct:
 
     def test_zero_operand(self):
         p = Polynomial((3, -1, 4))
-        for zero in (Polynomial.zero(), 0, Fraction(0)):
+        for zero in (Polynomial.zero(), 0):
             assert (p * zero).is_zero()
             assert (zero * p).is_zero()
         assert (Polynomial.zero() * Polynomial.zero()).is_zero()
@@ -117,7 +113,6 @@ class TestKroneckerProduct:
         p = Polynomial((3, -1, 4))
         assert (p * 2).coefficients == (6, -2, 8)
         assert (Polynomial((-5,)) * p).coefficients == (-15, 5, -20)
-        assert (p * Fraction(1, 2)).coefficients == (Fraction(3, 2), Fraction(-1, 2), 2)
         assert (Polynomial((7,)) * Polynomial((-6,))).coefficients == (-42,)
 
     def test_every_coefficient_negative(self):
@@ -126,11 +121,6 @@ class TestKroneckerProduct:
         assert (p * q).coefficients == (4, 2**200 + 8, 2**201 + 12, 3 * 2**200)
         assert p * q == schoolbook_product(p, q)
         assert (p * p).coefficients == (1, 4, 10, 12, 9)
-
-    def test_fraction_product_returns_to_integers_when_it_can(self):
-        half_t = Polynomial((Fraction(1, 2), Fraction(1, 2)))
-        assert (half_t * Polynomial((2, -2))).coefficients == (1, 0, -1)
-        assert all(type(c) is int for c in (half_t * Polynomial((2, -2))).coefficients)
 
 
 class TestTablesUnderTheOracleProduct:

@@ -40,30 +40,17 @@ def binary(rows):
 
 
 class TestValueSet:
-    def test_parse_with_weights(self):
-        xset = ValueSet.parse("0,1/2@1/2,2@1/2")
-        assert xset.values == (0, HALF, 2)
-        assert xset.weight(HALF) == HALF
-        assert xset.weight(2) == HALF
-
     def test_parse_uniform_default(self):
-        xset = ValueSet.parse("0,1/2,2")
-        assert xset.weight(HALF) == HALF
-        assert xset.weight(2) == HALF
+        assert ValueSet.parse("0, 1/2 ,2") == ValueSet.discrete([0, HALF, 2])
+
+    @pytest.mark.parametrize("text", ["0,1/2@1/2", "0,1/2@1"])
+    def test_parse_rejects_weighted_entries(self, text):
+        with pytest.raises(ValueError):
+            ValueSet.parse(text)
 
     def test_requires_zero(self):
         with pytest.raises(ValueError):
             ValueSet.discrete([1, 2])
-
-    def test_requires_positive_weights_summing_to_one(self):
-        with pytest.raises(ValueError):
-            ValueSet.discrete([0, 1, 2], {1: HALF, 2: HALF * HALF})
-        with pytest.raises(ValueError):
-            ValueSet.discrete([0, 1], {1: Fraction(-1)})
-
-    def test_weights_must_cover_nonzero_values(self):
-        with pytest.raises(ValueError):
-            ValueSet.discrete([0, 1, 2], {1: Fraction(1)})
 
     def test_continuous_contains_zero(self):
         with pytest.raises(ValueError):
@@ -89,6 +76,9 @@ class TestLeastDeterminant:
     def test_c2_continuous(self):
         assert least_determinant(TypeSpec("C", 2), ValueSet.continuous(0, 2)) == 1
 
+    def test_continuous_least_value_has_no_dimension_cap(self):
+        assert least_determinant(TypeSpec("C", 6), ValueSet.continuous(0, 2)) == 1
+
     def test_minimality_by_hand(self):
         # only four assignments exist over {0, 1/2}; their determinants are
         # 1, 1, 1 and 3/4, so nothing beats 3/4
@@ -112,6 +102,10 @@ class TestLeastDeterminant:
     def test_budget_guard_on_pattern_scan(self):
         with pytest.raises(BudgetError):
             attaining_matrices(TypeSpec("A", 5), ValueSet.continuous(0, 1))
+
+    def test_budget_guard_past_n5(self):
+        with pytest.raises(BudgetError):
+            attaining_matrices(TypeSpec("C", 6), ValueSet.continuous(0, 2))
 
     def test_zero_line_witnesses_for_a_and_b(self):
         # least value 0 on both the rational and binary sides, witnessed by
