@@ -26,7 +26,8 @@ _EXPORTED_BY = {
     "probability": "ChainReport CurveSample ProbabilityPolynomial emit_curve family_tables "
     "find_order_violation",
     "tables": "ROUTE_DAG_CENSUS ROUTE_ENUMERATION ROUTE_GENERATING_FUNCTION CoefficientTable",
-    "valuesets": "AttainingSet CheckReport ComplementReport InclusionReport ValueSet "
+    "values": "ValueSet",
+    "valuesets": "AttainingSet CheckReport ComplementReport InclusionReport "
     "attaining_matrices attaining_patterns check_inclusion complement_identity_check "
     "counterexample_report least_determinant least_determinant_binary",
 }

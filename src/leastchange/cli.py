@@ -8,7 +8,8 @@ Exit codes: 0 success/agreement, 1 verification or agreement failure,
 
 The array modules (``enumeration``, ``dags``, ``valuesets``) and numpy load
 inside the handlers that call them, so ``curve``, the series route of
-``count`` and every route-reach check start without numpy.
+``count``, ``least`` over an interval (answered from the series table, up to
+n = 24) and every route-reach check start without numpy.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ def _print_table(table: CoefficientTable, fmt: str, out) -> None:
 
 
 def cmd_least(args, parser) -> int:
-    from .valuesets import attaining_matrices, attaining_patterns
-
     spec = TypeSpec(args.family, args.n)
     try:
         xset = _value_set(args.values)
@@ -105,17 +104,29 @@ def cmd_least(args, parser) -> int:
         parser.error(f"value set {args.values!r} has a zero denominator")
     except ValueError as exc:
         parser.error(str(exc))
-    attaining = attaining_matrices(spec, xset)
-    patterns = attaining_patterns(spec, xset)
+    if xset.kind == "continuous":
+        # the attaining support classes are the pertinent patterns, whose
+        # determinant is the family target: the coefficient table counts them
+        table = series_table(spec)
+        least = least_binary = Fraction(spec.target_permanent)
+        attaining = patterns = table.total
+        sizes = {i: c for i, c in enumerate(table.coeffs) if c}
+    else:
+        from .valuesets import attaining_matrices, attaining_patterns
+
+        matrices, pattern_set = attaining_matrices(spec, xset), attaining_patterns(spec, xset)
+        least, least_binary = matrices.value, pattern_set.value
+        attaining, patterns = len(matrices), len(pattern_set)
+        sizes = matrices.sizes()
     result = {
         "family": args.family,
         "n": args.n,
         "values": str(xset),
-        "least_det": str(attaining.value),
-        "least_det_binary": str(patterns.value),
-        "attaining": len(attaining),
-        "attaining_patterns": len(patterns),
-        "by_nonzeros": {str(i): len(ms) for i, ms in attaining.partition().items()},
+        "least_det": str(least),
+        "least_det_binary": str(least_binary),
+        "attaining": attaining,
+        "attaining_patterns": patterns,
+        "by_nonzeros": {str(i): c for i, c in sizes.items()},
     }
     if args.format == "json":
         print(json.dumps(result))
@@ -127,7 +138,7 @@ def cmd_least(args, parser) -> int:
 
 def _value_set(text: str) -> ValueSet:
     """A bracketed ``[lo:hi]`` is an interval; anything else a discrete literal."""
-    from .valuesets import ValueSet
+    from .values import ValueSet
 
     text = text.strip()
     if not text.startswith("["):

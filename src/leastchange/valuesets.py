@@ -10,27 +10,33 @@ matters: matrices sharing the locations of their nonzero variable elements
 form one equivalence class, represented here by the pattern itself.  A class
 attains the least value exactly when its pattern is pertinent (permanent
 equal to the family target), because then every determinant term beyond the
-forced ones vanishes identically; the classes are found by running the
-batched pertinence test of ``enumeration.pertinent_mask`` once over all 2^m
-patterns.  For a discrete set every assignment has positive probability, so
-plain minimization over assignments applies: one integer array holds every
-assignment's determinant, built by cofactor expansion one row at a time.
+forced ones vanishes identically.  So the attaining classes, counted by
+nonzeros, are the family's coefficient table: ``least`` over an interval
+reads ``genfunc.series_table`` and never loads this module or numpy (which
+is why ``ValueSet`` lives in ``values``).  The batched pertinence test of
+``enumeration.pertinent_mask`` runs over all 2^m patterns only when the
+members themselves are asked for.  For a discrete set every assignment has
+positive probability, so plain minimization over assignments applies: one
+integer array holds every assignment's determinant, built by cofactor
+expansion one row at a time.
 
 Which cells are variable and which are fixed at 1 comes from ``TypeSpec``
 alone: both scans visit the assignments in the order of its counter (value
-digit k fills the k-th of its ``variable_positions``), so every attaining
-set lists its members in counter order.  Each member's number of nonzero
-variable elements is recorded by the scan that found it, from the counter
-(continuous) or the value digits (discrete), and never re-read from cells.
+digit k fills the k-th of its ``variable_positions``).  An attaining set
+keeps the ascending counters of its members and their numbers of nonzero
+variable elements, read from the value digits and never from cells; sizes
+and membership come from those, and the members are decoded only when read.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,71 +51,67 @@ from .matrices import (
     permanent_expansion,
     support,
 )
+from .values import ValueSet
 
 DISCRETE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
-class ValueSet:
-    """Finite rational value set, or an interval around 0."""
-
-    kind: str
-    values: tuple[Fraction, ...] = ()
-    interval: tuple[Fraction, Fraction] | None = None
-
-    @classmethod
-    def discrete(cls, values) -> "ValueSet":
-        vals = sorted({Fraction(v) for v in values})
-        if Fraction(0) not in vals:
-            raise ValueError("a value set must contain 0")
-        if len(vals) == 1:
-            raise ValueError("a discrete value set needs at least one nonzero value")
-        return cls("discrete", tuple(vals))
-
-    @classmethod
-    def continuous(cls, lo, hi) -> "ValueSet":
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
-            raise ValueError("interval must be non-trivial")
-        if not lo <= 0 <= hi:
-            raise ValueError("a value set must contain 0")
-        return cls("continuous", interval=(lo, hi))
-
-    @classmethod
-    def parse(cls, text: str) -> "ValueSet":
-        """Literal like ``0,1/2,2``: comma-separated fractions."""
-        values = []
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                raise ValueError("empty entry in value-set literal")
-            values.append(Fraction(token))
-        return cls.discrete(values)
-
-    def contains(self, value) -> bool:
-        value = Fraction(value)
-        if self.kind == "discrete":
-            return value in self.values
-        lo, hi = self.interval
-        return lo <= value <= hi
-
-    def __str__(self):
-        if self.kind == "discrete":
-            return "{" + ", ".join(str(v) for v in self.values) + "}"
-        return f"[{self.interval[0]}, {self.interval[1]}]"
-
-
-@dataclass(frozen=True)
 class AttainingSet:
-    """Matrices (or support patterns) attaining the least |det| value."""
+    """Matrices (or support patterns) attaining the least |det| value.
+
+    The set is its members' ascending assignment counters over the digit
+    ``values`` (``None`` for 0/1 patterns, whose digits are the counter's
+    bits); ``members`` decodes them on first read.
+    """
 
     spec: TypeSpec
     value: Fraction
-    members: tuple
+    counters: tuple[int, ...]
     nonzeros: tuple[int, ...]  # nonzero variable elements of each member
+    values: tuple[Fraction, ...] | None
 
     def __len__(self):
-        return len(self.members)
+        return len(self.counters)
+
+    def __contains__(self, member) -> bool:
+        """Whether ``member`` is in the set, by the counter it encodes."""
+        spec, values = self.spec, self.values or (0, 1)
+        kind = BinaryMatrix if self.values is None else RationalMatrix
+        if type(member) is not kind or member.n != spec.n:
+            return False
+        fixed = [
+            (i, j)
+            for i, row in enumerate(spec.fixed_rows, 1)
+            for j in range(1, spec.n + 1)
+            if row >> (j - 1) & 1
+        ]
+        if any(member.entry(i, j) != 1 for i, j in fixed):
+            return False
+        counter = 0
+        for i, j in reversed(spec.variable_positions):
+            entry = member.entry(i, j)
+            if entry not in values:
+                return False
+            counter = counter * len(values) + values.index(entry)
+        k = bisect.bisect_left(self.counters, counter)
+        return k < len(self.counters) and self.counters[k] == counter
+
+    @cached_property
+    def members(self) -> tuple:
+        """The attaining matrices, or patterns, in counter order."""
+        if self.values is None:
+            return tuple(map(self.spec.matrix_from_bits, self.counters))
+        # members share row tuples: row i of a member is one of k^w_i candidates
+        hits, rows = np.array(self.counters, dtype=np.int64), []
+        for entries in _row_entries(self.spec, self.values, Fraction(1), object):
+            hits, row_hits = np.divmod(hits, len(entries))
+            rows.append(np.fromiter(map(tuple, entries.tolist()), dtype=object)[row_hits])
+        return tuple(RationalMatrix(self.spec.n, r) for r in zip(*rows))
+
+    def sizes(self) -> dict[int, int]:
+        """Number of members per number of nonzero variable elements, ascending."""
+        return dict(sorted(Counter(self.nonzeros).items()))
 
     def partition(self) -> dict[int, tuple]:
         """Members grouped by number of nonzero variable elements."""
@@ -156,7 +158,7 @@ def _continuous_scan(spec: TypeSpec) -> AttainingSet:
     if 1 << spec.m > DISCRETE_BUDGET:
         raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
     hits = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
-    return _patterns(spec, Fraction(spec.target_permanent), hits)
+    return _attaining(spec, Fraction(spec.target_permanent), hits, None)
 
 
 @lru_cache(maxsize=256)
@@ -164,28 +166,38 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
     """Least |det|, +u before -u, and its attaining assignments."""
     if xset.kind != "discrete":
         raise ValueError("discrete scan needs a discrete value set")
-    values = xset.values
-    least, hits = _least_counters(spec, values)
-    # members share row tuples: row i of a member is one of k^w_i candidates
-    nonzeros, rows = np.full(len(hits), spec.m), []
-    for digits, table in _row_entries(spec, values, Fraction(1), object):
-        hits, row_hits = np.divmod(hits, len(digits))
-        rows.append(np.fromiter(map(tuple, table.tolist()), dtype=object)[row_hits])
-        nonzeros -= (digits == values.index(0)).sum(axis=1)[row_hits]
-    members = tuple(RationalMatrix(spec.n, r) for r in zip(*rows))
-    return AttainingSet(spec, least, members, tuple(nonzeros.tolist()))
+    least, hits = _least_counters(spec, xset.values)
+    return _attaining(spec, least, hits, xset.values)
+
+
+def _attaining(
+    spec: TypeSpec, value: Fraction, hits: np.ndarray, values: tuple[Fraction, ...] | None
+) -> AttainingSet:
+    """Attaining set of the ascending counters ``hits`` over the digit
+    ``values`` (0/1 patterns when None), with each one's nonzero digits."""
+    k, zero = (2, 0) if values is None else (len(values), values.index(0))
+    nonzeros, rest = np.full(len(hits), spec.m), hits
+    for _, digits in _row_digits(spec, k):
+        rest, row_hits = np.divmod(rest, len(digits))
+        nonzeros -= (digits == zero).sum(axis=1)[row_hits]
+    return AttainingSet(spec, value, tuple(hits.tolist()), tuple(nonzeros.tolist()), values)
+
+
+def _row_digits(spec: TypeSpec, k: int):
+    """Per row of ``spec.fields``: its variable columns and the digits of its
+    k^w assignments, lowest first."""
+    for runs in spec.fields:
+        cols = [c for _, width, start in runs for c in range(start, start + width)]
+        yield cols, np.arange(k ** len(cols))[:, None] // k ** np.arange(len(cols)) % k
 
 
 def _row_entries(spec: TypeSpec, values, fixed, dtype):
-    """Per row of ``spec.fields``: the digits of its k^w assignments, lowest
-    first, and the (k^w, n) array of their entries, ``fixed`` in fixed cells."""
-    k = len(values)
-    for runs in spec.fields:
-        cols = [c for _, width, start in runs for c in range(start, start + width)]
-        digits = np.arange(k ** len(cols))[:, None] // k ** np.arange(len(cols)) % k
+    """Per row of ``spec.fields``: the (k^w, n) array of the entries of its
+    assignments, lowest digits first, ``fixed`` in fixed cells."""
+    for cols, digits in _row_digits(spec, len(values)):
         entries = np.full((len(digits), spec.n), fixed, dtype=dtype)
         entries[:, cols] = np.array(values, dtype=dtype)[digits]
-        yield digits, entries
+        yield entries
 
 
 def _least_counters(spec: TypeSpec, values: tuple[Fraction, ...]) -> tuple[Fraction, np.ndarray]:
@@ -222,7 +234,7 @@ def _determinants(spec: TypeSpec, scaled, scale: int, dtype) -> np.ndarray:
     columns s for every assignment of those rows, which take the lower digits."""
     n = spec.n
     minors = {(): np.ones(1, dtype=dtype)}
-    for i, (_, entries) in enumerate(_row_entries(spec, scaled, scale, dtype)):
+    for i, entries in enumerate(_row_entries(spec, scaled, scale, dtype)):
         minors = {
             s: np.ravel(
                 (entries[:, s] * (-1) ** (i + np.arange(i + 1)))
@@ -241,14 +253,7 @@ def _pattern_scan(spec: TypeSpec) -> AttainingSet:
     attaining counter decodes straight to its pattern.
     """
     least, hits = _least_counters(spec, (Fraction(0), Fraction(1)))
-    return _patterns(spec, least, hits)
-
-
-def _patterns(spec: TypeSpec, value: Fraction, counters: np.ndarray) -> AttainingSet:
-    """Attaining set of the patterns of ascending counters, nonzeros their bit counts."""
-    counters = counters.tolist()
-    members = tuple(map(spec.matrix_from_bits, counters))
-    return AttainingSet(spec, value, members, tuple(b.bit_count() for b in counters))
+    return _attaining(spec, least, hits, None)
 
 
 @dataclass(frozen=True)
@@ -363,7 +368,7 @@ def counterexample_report() -> CheckReport:
     claim(
         "witness with both off-diagonals 1/2 attains it",
         True,
-        witness in attaining_matrices(c2, x_half).members,
+        witness in attaining_matrices(c2, x_half),
     )
     claim(
         "binary least value over {0,1/2}",
@@ -373,7 +378,7 @@ def counterexample_report() -> CheckReport:
     claim(
         "all-ones pattern attains the binary least value",
         True,
-        BinaryMatrix.ones(2) in attaining_patterns(c2, x_half).members,
+        BinaryMatrix.ones(2) in attaining_patterns(c2, x_half),
     )
 
     # --- value set {0, 1/2, 1, 2}: two assignments share one pattern ---
@@ -401,14 +406,12 @@ def counterexample_report() -> CheckReport:
             Fraction(0),
             least_determinant_binary(spec, x_four),
         )
-        attaining = attaining_matrices(spec, x_four)
-        patterns = attaining_patterns(spec, x_four)
-        rational_stratum = attaining.partition().get(count, ())
-        pattern_stratum = patterns.partition().get(count, ())
+        rational_stratum = attaining_matrices(spec, x_four).sizes().get(count, 0)
+        pattern_stratum = attaining_patterns(spec, x_four).sizes().get(count, 0)
         claim(
             f"family {family}: strictly more attainers than patterns at {count} nonzeros",
             True,
-            len(rational_stratum) > len(pattern_stratum),
+            rational_stratum > pattern_stratum,
         )
 
     # --- value set {0, 1, 2}: rational det 0 but pattern det 1 ---

@@ -110,14 +110,27 @@ def assignment_counter(spec, values, member) -> int:
     return sum(d * len(values) ** k for k, d in enumerate(digits))
 
 
+def assignment_matrix(spec, values, counter):
+    """The family matrix of a counter: digit k fills the k-th variable cell."""
+    rows = [[Fraction(1)] * spec.n for _ in range(spec.n)]
+    for i, j in spec.variable_positions:
+        counter, digit = divmod(counter, len(values))
+        rows[i - 1][j - 1] = values[digit]
+    return RationalMatrix.from_rows(rows)
+
+
 # --- valuesets ------------------------------------------------------------
 
 
 def discrete_scan_loop(spec, xset) -> AttainingSet:
     """The discrete scan as one integer Bareiss call per assignment, in
-    counter order, with a running minimum, a tie list and a sign pass."""
+    counter order, with a running minimum, a tie list and a sign pass.
+
+    The loop builds each attaining member from its combo and fills the
+    set's ``members`` cache with them, so comparing ``members`` with a scan
+    compares the scan's counter decode with this construction."""
     values = list(xset.values)
-    n, m = spec.n, spec.m
+    n, m, k = spec.n, spec.m, len(values)
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [int(v * scale) for v in values]
     zero_digit = values.index(0)
@@ -128,30 +141,32 @@ def discrete_scan_loop(spec, xset) -> AttainingSet:
 
     best = None
     kept = []
-    for combo in itertools.product(range(len(values)), repeat=m):
-        for k, (i, j) in enumerate(positions):
-            base[i][j] = scaled[combo[k]]
+    for counter, combo in enumerate(itertools.product(range(k), repeat=m)):
+        for p, (i, j) in enumerate(positions):
+            base[i][j] = scaled[combo[p]]
         d = det_int([row[:] for row in base])
         a = abs(d)
         if best is None or a < best:
             best = a
-            kept = [(d, combo)]
+            kept = [(d, counter, combo)]
         elif a == best:
-            kept.append((d, combo))
-    u_scaled = best if any(d == best for d, _ in kept) else -best
+            kept.append((d, counter, combo))
+    u_scaled = best if any(d == best for d, _, _ in kept) else -best
     one = Fraction(1)
-    members = []
-    nonzeros = []
-    for d, combo in kept:
+    counters, members, nonzeros = [], [], []
+    for d, counter, combo in kept:
         if d != u_scaled:
             continue
         rows = [[one] * n for _ in range(n)]
-        for k, (i, j) in enumerate(positions):
-            rows[i][j] = values[combo[k]]
+        for p, (i, j) in enumerate(positions):
+            rows[i][j] = values[combo[p]]
+        counters.append(counter)
         members.append(RationalMatrix(n, tuple(map(tuple, rows))))
         nonzeros.append(m - combo.count(zero_digit))
     value = Fraction(u_scaled, scale**n)
-    return AttainingSet(spec, value, tuple(members), tuple(nonzeros))
+    attaining = AttainingSet(spec, value, tuple(counters), tuple(nonzeros), xset.values)
+    vars(attaining)["members"] = tuple(members)
+    return attaining
 
 
 # --- genfunc ---------------------------------------------------------------

@@ -1,9 +1,20 @@
 import json
+import math
 
 import pytest
 
-from leastchange import enumeration
+from leastchange import (
+    TypeSpec,
+    ValueSet,
+    attaining_matrices,
+    attaining_patterns,
+    count_dags_by_edges,
+    enumeration,
+    least_determinant,
+    least_determinant_binary,
+)
 from leastchange.cli import main
+from leastchange.genfunc import series_table
 
 
 def run(capsys, *argv):
@@ -219,8 +230,41 @@ class TestLeast:
             run(capsys, "least", "--family", "C", "--n", "2", "--values", "0,1/2@1/2,2@1/2")
         assert exc.value.code == 2
 
-    def test_continuous_beyond_the_budget(self, capsys):
-        code, out, err = run(capsys, "least", "--family", "C", "--n", "6", "--values", "[0:1]")
+    def test_interval_past_the_pattern_budget(self, capsys):
+        # 2^30 patterns: the counts come from the table, not from a scan
+        code, out, _ = run(
+            capsys, "least", "--family", "C", "--n", "6", "--values", "[0:1]",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        census = count_dags_by_edges(6)
+        assert payload["by_nonzeros"] == {str(i): c for i, c in enumerate(census.coeffs) if c}
+        assert payload["attaining"] == payload["attaining_patterns"] == census.total
+        assert payload["least_det"] == payload["least_det_binary"] == "1"
+
+    @pytest.mark.parametrize(
+        "family, n, ones_at_1, target",
+        [("B", 12, 12 * 11, "0"), ("C", 24, 24 * 23, "1")],
+    )
+    def test_interval_at_the_series_reach(self, capsys, family, n, ones_at_1, target):
+        # closed forms: E(1) = m for C and m - 1 for B; E(top) = n! for C
+        code, out, _ = run(
+            capsys, "least", "--family", family, "--n", str(n), "--values", "[0:1]",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        sizes = payload["by_nonzeros"]
+        assert sizes["0"] == 1
+        assert sizes["1"] == ones_at_1
+        if family == "C":
+            assert list(sizes.items())[-1] == (str(n * (n - 1) // 2), math.factorial(n))
+        assert payload["attaining"] == payload["attaining_patterns"] == sum(sizes.values())
+        assert payload["least_det"] == payload["least_det_binary"] == target
+
+    def test_discrete_beyond_the_budget(self, capsys):
+        code, out, err = run(capsys, "least", "--family", "C", "--n", "6", "--values", "0,1")
         assert code == 2
         assert out == ""
         assert "budget" in err
@@ -244,6 +288,36 @@ class TestLeast:
                 run(capsys, "least", "--family", "C", "--n", "2", "--values", values)
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+
+SCANNED = [
+    (family, n) for family, n_max in (("A", 4), ("B", 5), ("C", 5)) for n in range(1, n_max + 1)
+]
+
+
+@pytest.mark.parametrize("family, n", SCANNED, ids=[f"{f}{n}" for f, n in SCANNED])
+def test_interval_counts_equal_the_pattern_scan(capsys, family, n):
+    # where the 2^m pertinence scan fits the budget, its members are the
+    # classes the table counts, and least prints what the scan finds
+    spec = TypeSpec(family, n)
+    interval = ValueSet.continuous(0, 1)
+    scan = attaining_matrices(spec, interval)
+    table = series_table(spec)
+    assert len(scan) == table.total
+    assert scan.sizes() == {i: c for i, c in enumerate(table.coeffs) if c}
+
+    argv = ("least", "--family", family, "--n", str(n), "--values", "[0:1]")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["least_det"] == str(least_determinant(spec, interval))
+    assert payload["least_det_binary"] == str(least_determinant_binary(spec, interval))
+    assert payload["attaining"] == len(scan)
+    assert payload["attaining_patterns"] == len(attaining_patterns(spec, interval))
+    assert payload["by_nonzeros"] == {str(i): c for i, c in scan.sizes().items()}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [f"{key}: {value}" for key, value in payload.items()]
 
 
 class TestVerify:

@@ -2,8 +2,8 @@
 
 Only the array modules (``enumeration``, ``dags``, ``valuesets``) import
 numpy, and the package loads its submodules on first access, so importing
-the CLI, drawing curves, the series route of ``count`` and the route-reach
-checks never load numpy.
+the CLI, drawing curves, the series route of ``count``, ``least`` over an
+interval and the route-reach checks never load numpy.
 Every check runs in a new interpreter: this test session imported numpy
 long ago.
 """
@@ -51,8 +51,13 @@ MAIN = "from leastchange.cli import main\n"
         MAIN + "assert main(['count', '--family', 'C', '--n', '7', '--route', 'all']) == 0",
         MAIN + "assert main(['count', '--family', 'A', '--n', '6', '--route', 'gf']) == 0",
         MAIN + "assert main(['verify', 'routes', '--n', '7']) == 2",
+        MAIN + "assert main(['least', '--family', 'C', '--n', '4', '--values', '[0:2]']) == 0",
+        MAIN + "assert main(['least', '--family', 'B', '--n', '4', '--values', '[0:2]']) == 0",
     ],
-    ids=["import-cli", "curve", "count-gf", "count-all-past-census", "count-gf-a", "routes-cap"],
+    ids=[
+        "import-cli", "curve", "count-gf", "count-all-past-census", "count-gf-a", "routes-cap",
+        "least-interval-C4", "least-interval-B4",
+    ],
 )
 def test_numpy_is_not_loaded(code):
     assert not numpy_loaded_after(code)
@@ -61,6 +66,12 @@ def test_numpy_is_not_loaded(code):
 def test_enumeration_loads_numpy():
     # the probe itself can see numpy, so the guards above can fail
     code = MAIN + "assert main(['count', '--family', 'A', '--n', '3']) == 0"
+    assert numpy_loaded_after(code)
+
+
+def test_discrete_least_loads_numpy():
+    # a discrete set is scanned by the determinant array, unlike an interval
+    code = MAIN + "assert main(['least', '--family', 'C', '--n', '3', '--values', '0,1']) == 0"
     assert numpy_loaded_after(code)
 
 

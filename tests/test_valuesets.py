@@ -1,10 +1,11 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import assignment_counter, discrete_scan_loop, nonzero_cells
+from oracles import assignment_counter, assignment_matrix, discrete_scan_loop, nonzero_cells
 
 import leastchange.valuesets as valuesets
 from leastchange import (
@@ -25,8 +26,9 @@ from leastchange import (
     permanent_expansion,
     support,
 )
+from leastchange.cli import main
 from leastchange.enumeration import pertinent_mask
-from leastchange.valuesets import _discrete_scan, _pattern_scan
+from leastchange.valuesets import _continuous_scan, _discrete_scan, _pattern_scan
 
 HALF = Fraction(1, 2)
 
@@ -217,6 +219,7 @@ class TestAttainingSets:
             members = attaining.members
             counters = [assignment_counter(spec, xset.values, m) for m in members]
             assert all(a < b for a, b in zip(counters, counters[1:]))
+            assert attaining.counters == tuple(counters)
             assert attaining.nonzeros == tuple(nonzero_cells(spec, m) for m in members)
         scan = _discrete_scan(spec, ValueSet.discrete([0, 1]))
         patterns = _pattern_scan(spec)
@@ -224,6 +227,80 @@ class TestAttainingSets:
             sorted(map(support, scan.members), key=spec.bits_from_matrix)
         )
         assert (patterns.value, patterns.nonzeros) == (scan.value, scan.nonzeros)
+
+
+class TestCounts:
+    # sizes and membership read the counters; the members stay undecoded
+    DISCRETE = [
+        ("C", 2, (0, HALF, 2)),
+        ("A", 2, (0, HALF, 2)),
+        ("B", 3, (0, 1)),
+        ("C", 3, (-1, 0, 1)),
+        ("A", 2, (0, HALF, 1, 2)),
+    ]
+
+    @staticmethod
+    def fresh_sets(family, n, values):
+        spec = TypeSpec(family, n)
+        return [
+            _pattern_scan.__wrapped__(spec),
+            _continuous_scan.__wrapped__(spec),
+            _discrete_scan.__wrapped__(spec, ValueSet.discrete(values)),
+        ]
+
+    @pytest.mark.parametrize("family, n, values", DISCRETE)
+    def test_sizes_are_the_partition_sizes(self, family, n, values):
+        for attaining in self.fresh_sets(family, n, values):
+            sizes = attaining.sizes()
+            assert "members" not in vars(attaining)
+            assert list(sizes) == sorted(sizes)
+            assert sizes == {i: len(ms) for i, ms in attaining.partition().items()}
+
+    @pytest.mark.parametrize("family, n, values", DISCRETE)
+    def test_membership_agrees_with_the_members(self, family, n, values):
+        spec = TypeSpec(family, n)
+        patterns, classes, assignments = self.fresh_sets(family, n, values)
+        xvalues = assignments.values
+        candidates = {
+            *map(spec.matrix_from_bits, range(1 << spec.m)),
+            *(assignment_matrix(spec, xvalues, c) for c in range(len(xvalues) ** spec.m)),
+            BinaryMatrix.zero(n),  # a fixed cell of B and C is 0
+            BinaryMatrix.ones(n + 1),
+            RationalMatrix.from_rows([[3] * n] * n),  # 3 is in no value set
+            assignment_matrix(TypeSpec(family, n + 1), xvalues, 0),
+        }
+        for attaining in (patterns, classes, assignments):
+            found = [member in attaining for member in candidates]
+            assert "members" not in vars(attaining)
+            members = set(attaining.members)
+            assert found == [member in members for member in candidates]
+            assert sum(found) == len(attaining)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "witnesses"],
+            ["least", "--family", "B", "--n", "3", "--values", "0,1/2,1,2"],
+            ["least", "--family", "C", "--n", "4", "--values", "0,1"],
+        ],
+        ids=["witnesses", "least-B3", "least-C4-01"],
+    )
+    def test_counts_leave_the_members_undecoded(self, monkeypatch, capsys, argv):
+        made = []
+
+        def recording(scan):
+            def run(*args):
+                made.append(scan.__wrapped__(*args))
+                return made[-1]
+
+            return functools.lru_cache(maxsize=None)(run)
+
+        for name in ("_discrete_scan", "_pattern_scan"):
+            monkeypatch.setattr(valuesets, name, recording(getattr(valuesets, name)))
+        assert main(argv) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert made
+        assert all("members" not in vars(attaining) for attaining in made)
 
 
 class TestDeterminantArray:
@@ -251,8 +328,11 @@ class TestDeterminantArray:
         scan = _discrete_scan.__wrapped__(spec, xset)
         loop = discrete_scan_loop(spec, xset)
         assert scan.value == loop.value
-        assert scan.members == loop.members
+        assert scan.counters == loop.counters
         assert scan.nonzeros == loop.nonzeros
+        assert scan.values == loop.values == xset.values
+        assert "members" not in vars(scan)
+        assert scan.members == loop.members
 
     @pytest.mark.parametrize(
         "family, n, values",
