@@ -19,8 +19,8 @@ from leastchange import (
 
 # ---------------------------------------------------------------------------
 # Route 1: exhaustive enumeration.  Every assignment of the variable cells is
-# visited as an integer counter; a vectorized Hall test (families A and B) or
-# source-peeling test (family C) replaces the permanent in the hot loop.
+# an integer counter; a Laplace split of the rows into two halves, whose block
+# permanents one subset DP tabulates, replaces the permanent for every family.
 # ---------------------------------------------------------------------------
 for family in "ABC":
     spec = TypeSpec(family, 4)

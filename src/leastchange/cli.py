@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -107,6 +108,9 @@ def cmd_least(args, parser) -> int:
     if xset.kind == "continuous":
         # the attaining support classes are the pertinent patterns, whose
         # determinant is the family target: the coefficient table counts them
+        reach = ROUTE_MAX_N[ROUTE_GENERATING_FUNCTION]
+        if spec.n > reach:
+            raise DimensionError(f"least over an interval supports n = 1..{reach}, got {spec.n}")
         table = series_table(spec)
         least = least_binary = Fraction(spec.target_permanent)
         attaining = patterns = table.total
@@ -259,16 +263,22 @@ def _suite_acyclic(args) -> list[tuple[str, bool, str]]:
         )
     import numpy as np
 
-    from .enumeration import pertinent_mask
+    from .dags import acyclic_mask
+    from .enumeration import _build_rows, pertinent_mask
 
     out = []
     for n in range(1, n_max + 1):
-        # the batched predicate the counts use, against the permanent per matrix
+        # the census's peel and the enumeration's row split, per matrix
         spec = TypeSpec("C", n)
-        acyclic = pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32))
+        counters = np.arange(1 << spec.m, dtype=np.uint32)
+        # the diagonal is fixed at 1: clearing it leaves the digraph's adjacency
+        rows = _build_rows(spec, counters)
+        off_diagonal = [row ^ np.uint8(1 << i) for i, row in enumerate(rows)]
+        peel = acyclic_mask(off_diagonal, n).tolist()
+        split = pertinent_mask(spec, counters).tolist()
         bad = sum(
-            (permanent_expansion(spec.matrix_from_bits(bits)) == 1) != ok
-            for bits, ok in enumerate(acyclic.tolist())
+            len({permanent_expansion(spec.matrix_from_bits(bits)) == 1, acyclic, pertinent}) > 1
+            for bits, (acyclic, pertinent) in enumerate(zip(peel, split))
         )
         out.append(
             (f"permanent-1 vs acyclic n={n}", bad == 0, f"{1 << spec.m} matrices")
@@ -382,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # no routine here calls BLAS, so numpy need not start OpenBLAS's thread pool
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

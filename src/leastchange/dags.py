@@ -4,9 +4,9 @@ A unit-diagonal binary matrix has permanent 1 exactly when the digraph with
 adjacency matrix M - I is acyclic, so counting DAGs on n labeled vertices by
 edges is a second, independent route to the family-C tables.  The census
 walks the 3^(n(n-1)/2) states of the vertex pairs (absent, forward or
-backward), never the 2^(n^2-n) off-diagonal masks the enumeration route
-visits, and reaches n = 6.  The scalar ``_peel`` backs ``is_acyclic``; the
-census and the enumeration share the vectorized ``acyclic_mask``.
+backward), never the 2^(n^2-n) off-diagonal masks, and reaches n = 6.  The
+scalar ``_peel`` backs ``is_acyclic``; the census alone counts with the
+vectorized ``acyclic_mask`` (the enumeration splits the rows instead).
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from leastchange import (
     AttainingSet,
     BinaryMatrix,
@@ -17,6 +19,8 @@ from leastchange import (
     WeightedSeries,
     one_plus_t_power,
 )
+from leastchange.dags import acyclic_mask
+from leastchange.enumeration import _build_rows
 from leastchange.genfunc import _coerce
 from leastchange.matrices import det_int
 from leastchange.probability import ChainReport, CurveSample, _chain_holds
@@ -117,6 +121,50 @@ def assignment_matrix(spec, values, counter):
         counter, digit = divmod(counter, len(values))
         rows[i - 1][j - 1] = values[digit]
     return RationalMatrix.from_rows(rows)
+
+
+# --- enumeration -----------------------------------------------------------
+
+BATCH_SIZE = 1 << 20
+
+
+def hall_violated(rows: np.ndarray, n: int) -> np.ndarray:
+    """True where some subset of the n rows covers fewer columns than its size.
+
+    ``rows`` has shape ``(n, k)``; with n = 0 nothing is violated.
+    """
+    unions: list = [None] * (1 << n)
+    unions[0] = np.zeros(rows.shape[1:], dtype=np.uint8)
+    violated = np.zeros(rows.shape[1:], dtype=bool)
+    for s in range(1, 1 << n):
+        low = s & -s
+        unions[s] = unions[s ^ low] | rows[low.bit_length() - 1]
+        violated |= np.bitwise_count(unions[s]) < s.bit_count()
+    return violated
+
+
+def scan_mask(spec, counters: np.ndarray) -> np.ndarray:
+    """Pertinence of each counter, decided without the row split.
+
+    Families A and B (permanent 0) take the full Hall sweep over all n rows;
+    family C (permanent 1) takes the DAG census's source peel of the digraph
+    left when the fixed unit diagonal is cleared.
+    """
+    rows = _build_rows(spec, counters)
+    if spec.family == "C":
+        return acyclic_mask([row ^ np.uint8(1 << i) for i, row in enumerate(rows)], spec.n)
+    return hall_violated(rows, spec.n)
+
+
+def scan_counts(spec) -> np.ndarray:
+    """Histogram of one-counts over the pertinent counters, batch by batch."""
+    m = spec.m
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for lo in range(0, 1 << m, BATCH_SIZE):
+        counters = np.arange(lo, min(lo + BATCH_SIZE, 1 << m), dtype=np.uint32)
+        pert = scan_mask(spec, counters)
+        counts += np.bincount(np.bitwise_count(counters[pert]), minlength=m + 1)
+    return counts
 
 
 # --- valuesets ------------------------------------------------------------

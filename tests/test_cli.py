@@ -9,6 +9,7 @@ from leastchange import (
     attaining_matrices,
     attaining_patterns,
     count_dags_by_edges,
+    dags,
     enumeration,
     least_determinant,
     least_determinant_binary,
@@ -263,6 +264,13 @@ class TestLeast:
         assert payload["attaining"] == payload["attaining_patterns"] == sum(sizes.values())
         assert payload["least_det"] == payload["least_det_binary"] == target
 
+    def test_interval_past_the_series_reach(self, capsys):
+        # the limit is named for least itself, not for a count route
+        code, out, err = run(capsys, "least", "--family", "C", "--n", "25", "--values", "[0:1]")
+        assert code == 2
+        assert out == ""
+        assert err == "error: least over an interval supports n = 1..24, got 25\n"
+
     def test_discrete_beyond_the_budget(self, capsys):
         code, out, err = run(capsys, "least", "--family", "C", "--n", "6", "--values", "0,1")
         assert code == 2
@@ -351,6 +359,20 @@ class TestVerify:
 
         # the suite imports the predicate when it runs, so patch it at the source
         monkeypatch.setattr(enumeration, "pertinent_mask", flipped)
+        code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
+        assert code == 1
+        assert "FAIL  permanent-1 vs acyclic n=3" in out
+
+    def test_acyclic_suite_reads_the_census_peel(self, capsys, monkeypatch):
+        real = dags.acyclic_mask
+
+        def flipped(adjacency, n):
+            mask = real(adjacency, n)
+            mask[-1] = not mask[-1]
+            return mask
+
+        # the suite checks the census's kernel as well as the enumeration's
+        monkeypatch.setattr(dags, "acyclic_mask", flipped)
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 1
         assert "FAIL  permanent-1 vs acyclic n=3" in out

@@ -18,8 +18,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_fresh(code: str) -> list[str]:
+def run_fresh(code: str, **env_vars) -> list[str]:
+    """Run ``code`` in a new interpreter; ``env_vars`` set (str) or unset (None)."""
     env = dict(os.environ)
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     result = subprocess.run(
@@ -105,3 +110,36 @@ def test_dir_lists_the_exports():
         "    print('AttributeError')"
     )
     assert lines == ["[]", "AttributeError"]
+
+
+def test_c_count_does_not_load_the_census():
+    # family C is counted by the row split, which shares no kernel with dags
+    lines = run_fresh(
+        "import sys\n"
+        "import leastchange\n"
+        "leastchange.count_pertinent(leastchange.TypeSpec('C', 5))\n"
+        "print('leastchange.dags' in sys.modules)"
+    )
+    assert lines[-1] == "False"
+
+
+THREADS = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+def test_cli_starts_numpy_with_one_blas_thread():
+    # no routine calls BLAS, so the CLI does not start OpenBLAS's thread pool
+    code = MAIN + "assert main(['count', '--family', 'A', '--n', '3']) == 0\n" + THREADS
+    assert run_fresh(code, OPENBLAS_NUM_THREADS=None)[-1] == "1"
+
+
+def test_cli_keeps_the_users_blas_threads():
+    code = MAIN + "assert main(['count', '--family', 'A', '--n', '3']) == 0\n" + THREADS
+    assert run_fresh(code, OPENBLAS_NUM_THREADS="3")[-1] == "3"
+
+
+def test_library_leaves_blas_threads_alone():
+    code = (
+        "import leastchange\n"
+        "leastchange.count_pertinent(leastchange.TypeSpec('A', 3))\n" + THREADS
+    )
+    assert run_fresh(code, OPENBLAS_NUM_THREADS=None)[-1] == "None"

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import nonzero_cells
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import nonzero_cells, scan_counts, scan_mask
 
 from leastchange import (
     BinaryMatrix,
@@ -20,13 +22,7 @@ from leastchange import (
     total_pertinent,
     verify_extremes,
 )
-from leastchange.enumeration import (
-    _build_rows,
-    _hall_violated,
-    _scan_counts,
-    _split_counts,
-    pertinent_mask,
-)
+from leastchange.enumeration import _build_rows, _split_counts, pertinent_mask
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
 
@@ -109,16 +105,12 @@ class TestCountPertinent:
 
 class TestSplitCount:
     @pytest.mark.parametrize("n", range(1, 6))
-    @pytest.mark.parametrize("family", "AB")
+    @pytest.mark.parametrize("family", "ABC")
     def test_split_equals_scan(self, family, n):
-        # the batched per-counter scan is the oracle of the half-tally count
+        # the batched per-counter scan (Hall sweep, or peel for C) is the
+        # oracle of the half-tally count
         spec = TypeSpec(family, n)
-        assert np.array_equal(_split_counts(spec), _scan_counts(spec))
-
-
-def _full_sweep(spec, counters):
-    """Hall sweep over all n rows: the oracle of the row-split lookup."""
-    return _hall_violated(_build_rows(spec, counters, include_fixed=True), spec.n)
+        assert np.array_equal(_split_counts(spec), scan_counts(spec))
 
 
 def _row_major_rows(spec, bits):
@@ -147,7 +139,7 @@ class TestOneLayout:
     def test_counter_decoders_share_the_layout(self, family, n):
         spec = TypeSpec(family, n)
         counters = np.arange(1 << spec.m, dtype=np.uint32)
-        built = _build_rows(spec, counters, include_fixed=True).T.tolist()
+        built = _build_rows(spec, counters).T.tolist()
         for bits in range(1 << spec.m):
             matrix = spec.matrix_from_bits(bits)
             assert matrix.rows == _row_major_rows(spec, bits)
@@ -172,26 +164,41 @@ class TestOneLayout:
 
 
 class TestRowSplitLookup:
-    @pytest.mark.parametrize("family", "AB")
+    @pytest.mark.parametrize("family", "ABC")
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_full_sweep_exhaustively(self, family, n):
-        # at n = 1 the bottom block is 0x0 (permanent 1), split like any other
+        # the oracle is the Hall sweep over all n rows for A and B, the
+        # source peel for C; at n = 1 the bottom block is 0x0 (permanent 1)
         spec = TypeSpec(family, n)
         counters = np.arange(1 << spec.m, dtype=np.uint32)
-        assert np.array_equal(pertinent_mask(spec, counters), _full_sweep(spec, counters))
+        assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
 
     def test_matches_full_sweep_b5(self):
         spec = TypeSpec("B", 5)
         for lo in range(0, 1 << spec.m, 1 << 20):
             counters = np.arange(lo, lo + (1 << 20), dtype=np.uint32)
-            assert np.array_equal(pertinent_mask(spec, counters), _full_sweep(spec, counters))
+            assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
+
+    def test_matches_peel_c5(self):
+        spec = TypeSpec("C", 5)
+        counters = np.arange(1 << spec.m, dtype=np.uint32)
+        assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
 
     @pytest.mark.parametrize("index", [0, 16, 31])
     def test_matches_full_sweep_a5_slice(self, index):
         # first, middle and last of the 32 slices of 2^20 counters
         spec = TypeSpec("A", 5)
         counters = np.arange(index << 20, (index + 1) << 20, dtype=np.uint32)
-        assert np.array_equal(pertinent_mask(spec, counters), _full_sweep(spec, counters))
+        assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
+
+    @given(family=st.sampled_from("ABC"), data=st.data())
+    def test_matches_the_permanent_at_n5(self, family, data):
+        spec = TypeSpec(family, 5)
+        # any counter, or one with few ones, where most permanent-1 matrices lie
+        sparse = st.sets(st.integers(0, spec.m - 1)).map(lambda ks: sum(1 << k for k in ks))
+        bits = data.draw(st.integers(0, (1 << spec.m) - 1) | sparse)
+        expected = permanent_expansion(spec.matrix_from_bits(bits)) == spec.target_permanent
+        assert pertinent_mask(spec, np.array([bits], dtype=np.uint32))[0] == expected
 
 
 class TestIndependentRecount:
