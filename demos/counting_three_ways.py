@@ -9,12 +9,13 @@ it more than one way and insisting the answers agree bit for bit.
 
 from leastchange import (
     TypeSpec,
+    ValueSet,
+    attaining_patterns,
     count_dags_by_edges,
     count_pertinent,
     gf_deficiency_table,
     gf_edge_table,
     gf_reachability_table,
-    verify_extremes,
 )
 
 # ---------------------------------------------------------------------------
@@ -76,11 +77,14 @@ print("the series alone reach n=6: A total", gf_deficiency_table(6).total,
 
 # ---------------------------------------------------------------------------
 # Tightness of the extremes: no pertinent matrix has fewer zeros than the
-# family bound, and some matrix meets it exactly.  For the unit-diagonal
-# family at n=3, six matrices meet the bound and four of them are in neither
-# upper- nor lower-triangular form.
+# family bound, and some matrix meets it exactly.  Over an interval the
+# attaining patterns are the pertinent ones, so the witnesses are their top
+# stratum.  For the unit-diagonal family at n=3, six matrices meet the bound
+# and four of them are in neither upper- nor lower-triangular form.
 # ---------------------------------------------------------------------------
-report = verify_extremes(TypeSpec("C", 3))
-print(f"\nfamily C, n=3: bound met by {len(report.witnesses)} matrices, ok={report.ok}")
-for witness in report.witnesses:
+spec = TypeSpec("C", 3)
+strata = attaining_patterns(spec, ValueSet.continuous(0, 1)).partition()
+witnesses = strata[spec.i_max]
+print(f"\nfamily C, n=3: bound met by {len(witnesses)} matrices, ok={max(strata) == spec.i_max}")
+for witness in witnesses:
     print(witness, end="\n\n")

@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # submodule -> the names it exports
 _EXPORTED_BY = {
     "dags": "Digraph count_dags_by_edges digraph_to_matrix is_acyclic matrix_to_digraph",
-    "enumeration": "ExtremesReport count_pertinent has_perfect_matching is_pertinent "
-    "total_pertinent verify_extremes",
+    "enumeration": "count_pertinent has_perfect_matching total_pertinent",
     "errors": "BudgetError DimensionError PatternError",
     "genfunc": "Polynomial WeightedSeries edge_polynomial gf_deficiency_table gf_edge_table "
     "gf_reachability_table one_plus_t_power reciprocal z_series_neg",

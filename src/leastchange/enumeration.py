@@ -21,33 +21,24 @@ counter.
 
 Counting visits no full counter and no dense mask space: each half is
 tallied by (distinct key, ones), the same rule marks which distinct keys
-pair up, and one integer product of the two tallies gives the table.
+pair up, and one integer product of the two tallies gives the table.  The
+bound i_max is certified by ``CoefficientTable``; the matrices meeting it
+are the top stratum of the interval attaining set in ``valuesets``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError
-from .matrices import BinaryMatrix, TypeSpec, permanent_expansion
+from .matrices import BinaryMatrix, TypeSpec
 from .tables import ROUTE_ENUMERATION, CoefficientTable, check_reach
 
 _table_cache: dict[tuple[str, int], CoefficientTable] = {}
-
-
-def is_pertinent(spec: TypeSpec, matrix: BinaryMatrix) -> bool:
-    """Definitional predicate: permanent equals the family target.
-
-    This is the oracle the fast counting predicates are measured against;
-    it is never used inside the counting loop.
-    """
-    spec.check_pattern(matrix)
-    return permanent_expansion(matrix) == spec.target_permanent
 
 
 def has_perfect_matching(matrix: BinaryMatrix) -> bool:
@@ -76,38 +67,6 @@ def count_pertinent(spec: TypeSpec) -> CoefficientTable:
 
 def total_pertinent(spec: TypeSpec) -> int:
     return count_pertinent(spec).total
-
-
-@dataclass(frozen=True)
-class ExtremesReport:
-    """Outcome of checking the fewest-zeros bound by direct enumeration."""
-
-    spec: TypeSpec
-    max_ones: int
-    witnesses: tuple[BinaryMatrix, ...]
-
-    @property
-    def ok(self) -> bool:
-        # no pertinent assignment beats the bound, and some assignment meets it
-        return self.max_ones == self.spec.i_max and bool(self.witnesses)
-
-
-def verify_extremes(spec: TypeSpec) -> ExtremesReport:
-    """Confirm that i_max (equivalently j_min) is tight, with witnesses.
-
-    ``count_pertinent`` already rejects any pertinent assignment with more
-    than i_max ones, so only the C(m, i_max) counters with exactly i_max
-    ones are tested for witnesses.
-    """
-    table = count_pertinent(spec)
-    max_ones = max(i for i, c in enumerate(table.coeffs) if c)
-    full = (1 << spec.m) - 1
-    zero_sets = itertools.combinations(range(spec.m), spec.j_min)
-    counters = np.fromiter((full ^ sum(1 << k for k in z) for z in zero_sets), np.uint32)
-    counters.sort()
-    hits = counters[pertinent_mask(spec, counters)]
-    witnesses = tuple(spec.matrix_from_bits(int(b)) for b in hits)
-    return ExtremesReport(spec, max_ones, witnesses)
 
 
 def _split_counts(spec: TypeSpec) -> np.ndarray:

@@ -230,21 +230,30 @@ class TypeSpec:
                 rows[i] |= ((bits >> shift) & ((1 << width) - 1)) << col
         return BinaryMatrix(self.n, tuple(rows))
 
-    def bits_from_matrix(self, matrix: BinaryMatrix) -> int:
-        """Inverse of :meth:`matrix_from_bits`; rejects broken fixed cells."""
-        self.check_pattern(matrix)
-        bits = 0
-        for row, runs in zip(matrix.rows, self.fields):
-            for shift, width, col in runs:
-                bits |= ((row >> col) & ((1 << width) - 1)) << shift
-        return bits
+    def counter_of(self, member, values=(0, 1)) -> int:
+        """Matrix -> assignment counter: digit k is the index in ``values`` of
+        the k-th variable entry.  Inverse of :meth:`matrix_from_bits` over
+        {0, 1} and of the value-digit decoders over ``values``."""
+        entries = self.check_pattern(member)
+        counter = 0
+        for i, j in reversed(self.variable_positions):
+            entry = entries[i - 1][j - 1]
+            if entry not in values:
+                listed = ", ".join(map(str, values))
+                raise ValueError(f"entry {entry} at ({i}, {j}) is not one of {listed}")
+            counter = counter * len(values) + values.index(entry)
+        return counter
 
-    def check_pattern(self, matrix: BinaryMatrix) -> None:
+    def check_pattern(self, matrix) -> list | tuple:
+        """The entries of a binary or rational family matrix, row by row;
+        raises unless it is n x n with every fixed element 1."""
         if matrix.n != self.n:
             raise DimensionError(f"matrix is {matrix.n}x{matrix.n}, family needs n={self.n}")
-        for row, fixed in zip(matrix.rows, self.fixed_rows):
-            if row & fixed != fixed:
-                raise PatternError(f"fixed element of family {self.family} is 0")
+        entries = matrix.to_lists() if isinstance(matrix, BinaryMatrix) else matrix.entries
+        for row, fixed in zip(entries, self.fixed_rows):
+            if any(row[j] != 1 for j in range(fixed.bit_length()) if fixed >> j & 1):
+                raise PatternError(f"fixed element of family {self.family} is not 1")
+        return entries
 
 
 def _check_index(n: int, i: int, j: int) -> None:

@@ -25,7 +25,9 @@ alone: both scans visit the assignments in the order of its counter (value
 digit k fills the k-th of its ``variable_positions``).  An attaining set
 keeps the ascending counters of its members and their numbers of nonzero
 variable elements, read from the value digits and never from cells; sizes
-and membership come from those, and the members are decoded only when read.
+come from those, membership from ``TypeSpec.counter_of`` of the candidate,
+and the members are decoded only when read.  Over an interval the members
+at i_max nonzeros are the witnesses that the fewest-zeros bound is tight.
 """
 
 from __future__ import annotations
@@ -76,24 +78,12 @@ class AttainingSet:
 
     def __contains__(self, member) -> bool:
         """Whether ``member`` is in the set, by the counter it encodes."""
-        spec, values = self.spec, self.values or (0, 1)
-        kind = BinaryMatrix if self.values is None else RationalMatrix
-        if type(member) is not kind or member.n != spec.n:
+        if type(member) is not (BinaryMatrix if self.values is None else RationalMatrix):
             return False
-        fixed = [
-            (i, j)
-            for i, row in enumerate(spec.fixed_rows, 1)
-            for j in range(1, spec.n + 1)
-            if row >> (j - 1) & 1
-        ]
-        if any(member.entry(i, j) != 1 for i, j in fixed):
+        try:
+            counter = self.spec.counter_of(member, self.values or (0, 1))
+        except ValueError:  # wrong size, a fixed element not 1, or a value outside the set
             return False
-        counter = 0
-        for i, j in reversed(spec.variable_positions):
-            entry = member.entry(i, j)
-            if entry not in values:
-                return False
-            counter = counter * len(values) + values.index(entry)
         k = bisect.bisect_left(self.counters, counter)
         return k < len(self.counters) and self.counters[k] == counter
 

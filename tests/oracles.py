@@ -18,6 +18,7 @@ from leastchange import (
     RationalMatrix,
     WeightedSeries,
     one_plus_t_power,
+    permanent_expansion,
 )
 from leastchange.dags import acyclic_mask
 from leastchange.enumeration import _build_rows
@@ -124,6 +125,13 @@ def assignment_matrix(spec, values, counter):
 
 
 # --- enumeration -----------------------------------------------------------
+
+
+def is_pertinent(spec, matrix: BinaryMatrix) -> bool:
+    """Definitional predicate: the permanent equals the family target."""
+    spec.check_pattern(matrix)
+    return permanent_expansion(matrix) == spec.target_permanent
+
 
 BATCH_SIZE = 1 << 20
 

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import nonzero_cells, scan_counts, scan_mask
+from oracles import is_pertinent, nonzero_cells, scan_counts, scan_mask
 
 from leastchange import (
     BinaryMatrix,
     DimensionError,
     PatternError,
+    RationalMatrix,
     TypeSpec,
     ValueSet,
     attaining_matrices,
+    attaining_patterns,
     count_pertinent,
     has_perfect_matching,
-    is_pertinent,
     permanent_expansion,
     total_pertinent,
-    verify_extremes,
 )
 from leastchange.enumeration import _build_rows, _split_counts, pertinent_mask
 from leastchange.reference import REFERENCE_COUNTS
@@ -144,7 +144,7 @@ class TestOneLayout:
             matrix = spec.matrix_from_bits(bits)
             assert matrix.rows == _row_major_rows(spec, bits)
             assert tuple(built[bits]) == matrix.rows
-            assert spec.bits_from_matrix(matrix) == bits
+            assert spec.counter_of(matrix) == bits
 
     @pytest.mark.parametrize("family", "ABC")
     def test_nonzero_count_is_counter_popcount(self, family):
@@ -156,6 +156,53 @@ class TestOneLayout:
         for k, (bits, member) in enumerate(zip(counters, attaining.members)):
             expected = int(bits).bit_count()
             assert attaining.nonzeros[k] == nonzero_cells(spec, member) == expected
+
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_counter_of_encodes_the_discrete_scans(self, family, n):
+        spec = TypeSpec(family, n)
+        for values in ([-1, 0, 1], [0, Fraction(1, 2), 2]):
+            scan = attaining_matrices(spec, ValueSet.discrete(values))
+            assert len(scan) > 0
+            assert scan.counters == tuple(spec.counter_of(m, scan.values) for m in scan.members)
+
+    REJECTED = [
+        # (spec, member, the digit values, error)
+        (TypeSpec("C", 3), BinaryMatrix.identity(2), None, DimensionError),
+        # a zero at (2, 2)
+        (TypeSpec("C", 3), BinaryMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]]), None,
+         PatternError),
+        (TypeSpec("C", 2), RationalMatrix.from_rows([[2, 0], [Fraction(1, 2), 1]]),
+         (0, Fraction(1, 2), 2), PatternError),
+        (TypeSpec("C", 2), RationalMatrix.from_rows([[1, Fraction(1, 3)], [0, 1]]),
+         (0, Fraction(1, 2), 2), ValueError),
+    ]
+
+    @pytest.mark.parametrize("spec, member, values, error", REJECTED)
+    def test_counter_of_rejects(self, spec, member, values, error):
+        with pytest.raises(error) as caught:
+            spec.counter_of(member, values or (0, 1))
+        if error is ValueError:
+            assert not isinstance(caught.value, (DimensionError, PatternError))
+
+    @pytest.mark.parametrize("spec, member, values, error", REJECTED)
+    def test_rejected_members_are_not_in_the_set(self, spec, member, values, error):
+        if values is None:
+            attaining = attaining_patterns(spec, ValueSet.discrete([0, 1]))
+        else:
+            attaining = attaining_matrices(spec, ValueSet.discrete(values))
+        assert len(attaining) > 0
+        assert member not in attaining
+
+    def test_members_of_another_type_are_not_in_the_set(self):
+        spec = TypeSpec("C", 2)
+        patterns = attaining_patterns(spec, ValueSet.continuous(0, 1))
+        matrices = attaining_matrices(spec, ValueSet.discrete([0, 1]))
+        # the identity is pertinent, and the all-ones matrix is singular
+        assert BinaryMatrix.identity(2) in patterns
+        assert BinaryMatrix.ones(2).to_rational() in matrices
+        assert BinaryMatrix.identity(2).to_rational() not in patterns
+        assert BinaryMatrix.ones(2) not in matrices
 
     def test_layout_is_computed_once(self):
         spec = TypeSpec("B", 4)
@@ -258,32 +305,37 @@ class TestMatchingPredicate:
         assert not has_perfect_matching(m)
 
 
+def top_stratum(spec):
+    """The matrices with the fewest zeros a pertinent matrix can have."""
+    partition = attaining_patterns(spec, ValueSet.continuous(0, 1)).partition()
+    assert max(partition) == spec.i_max
+    return partition[spec.i_max]
+
+
 class TestVerifyExtremes:
+    # the fewest-zeros bound is tight: its witnesses are the top stratum
     @pytest.mark.parametrize(
         "family, n, count",
         [("A", 3, 6), ("B", 3, 2), ("C", 3, 6), ("A", 4, 8), ("B", 4, 2), ("C", 4, 24)],
     )
     def test_witnesses_are_the_last_coefficient(self, family, n, count):
         spec = TypeSpec(family, n)
-        report = verify_extremes(spec)
-        assert report.ok
-        assert len(report.witnesses) == count == count_pertinent(spec).coeffs[-1]
-        bits = [spec.bits_from_matrix(w) for w in report.witnesses]
-        assert bits == sorted(bits)
-        assert all(is_pertinent(spec, w) for w in report.witnesses)
+        witnesses = top_stratum(spec)
+        assert len(witnesses) == count == count_pertinent(spec).coeffs[-1]
+        counters = [spec.counter_of(w) for w in witnesses]
+        assert all(a < b for a, b in zip(counters, counters[1:]))
+        assert all(is_pertinent(spec, w) for w in witnesses)
+        assert all(nonzero_cells(spec, w) == spec.i_max for w in witnesses)
 
     def test_family_a_n3(self):
-        report = verify_extremes(TypeSpec("A", 3))
-        assert report.ok
-        assert report.max_ones == 6
-        assert len(report.witnesses) == 6  # 2n candidate zero lines
+        witnesses = top_stratum(TypeSpec("A", 3))
+        assert len(witnesses) == 6  # 2n candidate zero lines
         zero_first_row = BinaryMatrix.from_rows([[0, 0, 0], [1, 1, 1], [1, 1, 1]])
-        assert zero_first_row in report.witnesses
+        assert zero_first_row in witnesses
 
     def test_family_c_n3_nontriangular_witnesses(self):
-        report = verify_extremes(TypeSpec("C", 3))
-        assert report.ok
-        assert len(report.witnesses) == 6
+        witnesses = top_stratum(TypeSpec("C", 3))
+        assert len(witnesses) == 6
 
         def is_triangular(m):
             upper = all(
@@ -294,21 +346,18 @@ class TestVerifyExtremes:
             )
             return upper or lower
 
-        non_triangular = [w for w in report.witnesses if not is_triangular(w)]
+        non_triangular = [w for w in witnesses if not is_triangular(w)]
         assert len(non_triangular) == 4
 
     def test_family_c_n2(self):
         spec = TypeSpec("C", 2)
         assert spec.j_min == 1 and spec.i_max == 1
-        report = verify_extremes(spec)
-        assert report.ok
-        assert len(report.witnesses) == 2
+        assert len(top_stratum(spec)) == 2
 
     def test_family_b_witnesses_are_line_zeroings(self):
-        report = verify_extremes(TypeSpec("B", 3))
-        assert report.ok
-        assert len(report.witnesses) == 2
-        for w in report.witnesses:
+        witnesses = top_stratum(TypeSpec("B", 3))
+        assert len(witnesses) == 2
+        for w in witnesses:
             row1_zero = all(w.entry(1, j) == 0 for j in range(1, 4))
             col1_zero = all(w.entry(i, 1) == 0 for i in range(1, 4))
             assert row1_zero or col1_zero

@@ -95,7 +95,7 @@ class TestTypeSpec:
         spec = TypeSpec("B", 3)
         for bits in range(1 << spec.m):
             m = spec.matrix_from_bits(bits)
-            assert spec.bits_from_matrix(m) == bits
+            assert spec.counter_of(m) == bits
         # fixed diagonal present in every assembled matrix
         m = spec.matrix_from_bits(0)
         assert m.entry(2, 2) == 1 and m.entry(3, 3) == 1 and m.entry(1, 1) == 0

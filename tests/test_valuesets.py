@@ -224,7 +224,7 @@ class TestAttainingSets:
         scan = _discrete_scan(spec, ValueSet.discrete([0, 1]))
         patterns = _pattern_scan(spec)
         assert patterns.members == tuple(
-            sorted(map(support, scan.members), key=spec.bits_from_matrix)
+            sorted(map(support, scan.members), key=spec.counter_of)
         )
         assert (patterns.value, patterns.nonzeros) == (scan.value, scan.nonzeros)
 
