@@ -83,8 +83,9 @@ print("the series alone reach n=6: A total", gf_deficiency_table(6).total,
 # and four of them are in neither upper- nor lower-triangular form.
 # ---------------------------------------------------------------------------
 spec = TypeSpec("C", 3)
-strata = attaining_patterns(spec, ValueSet.continuous(0, 1)).partition()
-witnesses = strata[spec.i_max]
-print(f"\nfamily C, n=3: bound met by {len(witnesses)} matrices, ok={max(strata) == spec.i_max}")
+patterns = attaining_patterns(spec, ValueSet.continuous(0, 1))
+witnesses = patterns.stratum(spec.i_max)
+print(f"\nfamily C, n=3: bound met by {len(witnesses)} matrices, "
+      f"ok={max(patterns.sizes()) == spec.i_max}")
 for witness in witnesses:
     print(witness, end="\n\n")

@@ -6,8 +6,8 @@ probability polynomials that a single-entry perturbation changes a
 determinant as little as possible.
 
 Exports and submodules load on first access (PEP 562), so numpy is imported
-only by the modules that scan arrays (``enumeration``, ``dags``,
-``valuesets``) and only when one of them is used.
+only by ``valuesets``, whose value-set scans read integer arrays, and only
+when it is used; the counting routes run on Python ints.
 """
 
 import importlib

@@ -6,10 +6,11 @@ census; how far each reaches is ``tables.ROUTE_MAX_N``.
 Exit codes: 0 success/agreement, 1 verification or agreement failure,
 2 usage error (including an output file that cannot be written).
 
-The array modules (``enumeration``, ``dags``, ``valuesets``) and numpy load
-inside the handlers that call them, so ``curve``, the series route of
-``count``, ``least`` over an interval (answered from the series table, up to
-n = 24) and every route-reach check start without numpy.
+Only ``valuesets`` imports numpy, and it loads inside the handlers that call
+it: ``least`` over a discrete set and the ``witnesses``, ``inclusion`` and
+``complement`` suites of ``verify``.  ``count`` on every route, ``curve``,
+``least`` over an interval (answered from the series table, up to n = 24) and
+the other ``verify`` suites start without numpy.
 """
 
 from __future__ import annotations
@@ -261,25 +262,21 @@ def _suite_acyclic(args) -> list[tuple[str, bool, str]]:
         raise DimensionError(
             f"acyclic suite visits all 2^(n^2-n) masks, n <= {enumeration_max}, got {n_max}"
         )
-    import numpy as np
-
-    from .dags import acyclic_mask
-    from .enumeration import _build_rows, pertinent_mask
+    from .dags import acyclic_bits
+    from .enumeration import _planes, pertinent_bits
 
     out = []
     for n in range(1, n_max + 1):
-        # the census's peel and the enumeration's row split, per matrix
+        # the census's peel and the enumeration's row split, per matrix: bit c
+        # of each plane is counter c, and counter bit k drives the k-th edge
         spec = TypeSpec("C", n)
-        counters = np.arange(1 << spec.m, dtype=np.uint32)
-        # the diagonal is fixed at 1: clearing it leaves the digraph's adjacency
-        rows = _build_rows(spec, counters)
-        off_diagonal = [row ^ np.uint8(1 << i) for i, row in enumerate(rows)]
-        peel = acyclic_mask(off_diagonal, n).tolist()
-        split = pertinent_mask(spec, counters).tolist()
-        bad = sum(
-            len({permanent_expansion(spec.matrix_from_bits(bits)) == 1, acyclic, pertinent}) > 1
-            for bits, (acyclic, pertinent) in enumerate(zip(peel, split))
-        )
+        size = 1 << spec.m
+        cells = zip(spec.variable_positions, _planes(spec.m)[0])
+        peel = acyclic_bits({(i - 1, j - 1): plane for (i, j), plane in cells}, n, (1 << size) - 1)
+        # one character per counter, lowest first
+        found = [f"{bits:0{size}b}"[::-1] for bits in (peel, pertinent_bits(spec))]
+        perm_one = ("01"[permanent_expansion(spec.matrix_from_bits(c)) == 1] for c in range(size))
+        bad = sum(len(set(verdicts)) > 1 for verdicts in zip(perm_one, *found))
         out.append(
             (f"permanent-1 vs acyclic n={n}", bad == 0, f"{1 << spec.m} matrices")
         )

@@ -4,20 +4,22 @@ A unit-diagonal binary matrix has permanent 1 exactly when the digraph with
 adjacency matrix M - I is acyclic, so counting DAGs on n labeled vertices by
 edges is a second, independent route to the family-C tables.  The census
 walks the 3^(n(n-1)/2) states of the vertex pairs (absent, forward or
-backward), never the 2^(n^2-n) off-diagonal masks, and reaches n = 6.  The
-scalar ``_peel`` backs ``is_acyclic``; the census alone counts with the
-vectorized ``acyclic_mask`` (the enumeration splits the rows instead).
+backward), never the 2^(n^2-n) off-diagonal masks, and reaches n = 6.  A set
+of states is a Python int used as a bit plane (bit s is state s), so the one
+source peel, ``acyclic_bits``, acts on all of them at once with no array
+library; ``is_acyclic`` runs it on one graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from .matrices import BinaryMatrix, TypeSpec
 from .tables import ROUTE_DAG_CENSUS, CoefficientTable, check_reach
+
+LOW_DIGITS = 10  # pair digits per plane in the census
 
 
 @dataclass(frozen=True)
@@ -67,72 +69,63 @@ def digraph_to_matrix(digraph: Digraph) -> BinaryMatrix:
 
 
 def is_acyclic(digraph: Digraph) -> bool:
-    """Iterative source peeling; no recursion depth to worry about."""
-    return _peel(digraph.adjacency_rows(), digraph.n)
-
-
-def _peel(adjacency: tuple[int, ...], n: int) -> bool:
-    alive = (1 << n) - 1
-    while alive:
-        incoming = 0
-        probe = alive
-        while probe:
-            low = probe & -probe
-            incoming |= adjacency[low.bit_length() - 1]
-            probe ^= low
-        sources = alive & ~incoming
-        if not sources:
-            return False
-        alive &= ~sources
-    return True
+    """The census's source peel on one graph, as planes of one bit."""
+    edges = dict.fromkeys(((k - 1, l - 1) for k, l in digraph.edges), 1)
+    return acyclic_bits(edges, digraph.n, 1) == 1
 
 
 @cache
 def count_dags_by_edges(n: int) -> CoefficientTable:
-    """Census of labeled DAGs on n vertices by edge count, for n = 1..6.
+    """Census of labeled DAGs on n vertices by edge count, for n = 1..6,
+    memoized per n (it is exhaustive, so one run per process suffices).
 
-    Memoized per n: the census is exhaustive, so one run per process suffices.
-
-    Each unordered vertex pair is absent, forward or backward; both
-    directions at once is a 2-cycle, so that state never appears.  The
-    3^(n(n-1)/2) pair states are decoded in numpy batches and kept where the
-    vectorized source peel empties the graph.
+    Each unordered vertex pair is absent, forward or backward (base-3 digit
+    0, 1 or 2), never both: that is a 2-cycle.  The low ``LOW_DIGITS``
+    digits index the bits of a plane, with a forward and a backward edge
+    plane per digit and, by a DP over the digits, a plane per edge count.
+    Each value of the high digits is one peel, its edges in all states or
+    none; planes of 3^10 bits stay in cache.
     """
     check_reach(ROUTE_DAG_CENSUS, n)
-    spec = TypeSpec("C", n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total_states = 3 ** len(pairs)
-    counts = np.zeros(spec.m + 1, dtype=np.int64)
-    batch = 1 << 19
-    for lo in range(0, total_states, batch):
-        hi = min(lo + batch, total_states)
-        states = np.arange(lo, hi, dtype=np.int64)
-        adjacency = [np.zeros(states.shape, dtype=np.uint8) for _ in range(n)]
-        edge_count = np.zeros(states.shape, dtype=np.int64)
-        digits = states
-        for i, j in pairs:
-            d = digits % 3
-            digits = digits // 3
-            adjacency[i] |= np.where(d == 1, np.uint8(1 << j), np.uint8(0))
-            adjacency[j] |= np.where(d == 2, np.uint8(1 << i), np.uint8(0))
-            edge_count += (d != 0).astype(np.int64)
-        acyclic = acyclic_mask(adjacency, n)
-        counts += np.bincount(edge_count[acyclic], minlength=spec.m + 1)
-    return CoefficientTable.from_counts(spec, counts, ROUTE_DAG_CENSUS)
+    pairs = list(itertools.combinations(range(n), 2))
+    low = min(len(pairs), LOW_DIGITS)
+    size = 3**low
+    full = (1 << size) - 1
+    planes, classes = {}, [1]
+    for q, (i, j) in enumerate(pairs[:low]):
+        unit = 3**q
+        classes = [a | b << unit | b << 2 * unit for a, b in zip(classes + [0], [0] + classes)]
+        for edge, digit in (((i, j), 1), ((j, i), 2)):
+            # one period of 3^(q+1) states, doubled by shift-and-OR
+            plane, period = ((1 << unit) - 1) << digit * unit, 3 * unit
+            while period < size:
+                plane |= plane << period
+                period *= 2
+            planes[edge] = plane & full
+    counts = [0] * (n * n - n + 1)
+    for high in itertools.product(range(3), repeat=len(pairs) - low):
+        edges = dict(planes)
+        for (i, j), digit in zip(pairs[low:], high):
+            if digit:
+                edges[(i, j) if digit == 1 else (j, i)] = full
+        acyclic, offset = acyclic_bits(edges, n, full), len(high) - high.count(0)
+        for count, states in enumerate(classes):
+            counts[offset + count] += (acyclic & states).bit_count()
+    return CoefficientTable.from_counts(TypeSpec("C", n), counts, ROUTE_DAG_CENSUS)
 
 
-def acyclic_mask(adjacency: list[np.ndarray], n: int) -> np.ndarray:
-    """Vectorized source peeling over batches of adjacency row arrays.
-
-    True where repeatedly deleting in-degree-0 vertices empties the graph;
-    each round keeps exactly the live vertices with a live predecessor.
-    """
-    alive = np.full(adjacency[0].shape, np.uint8((1 << n) - 1), dtype=np.uint8)
-    zero = np.uint8(0)
+def acyclic_bits(edges: dict[tuple[int, int], int], n: int, full: int) -> int:
+    """Source peeling on bit planes: bit s of ``edges[u, v]`` says graph s
+    has the edge u -> v, and bit s of ``full`` that graph s exists.  Returns
+    the plane of the graphs that deleting in-degree-0 vertices empties; each
+    round keeps the live vertices with a live predecessor, and a DAG on n
+    vertices is empty after n rounds."""
+    alive = [full] * n
     for _ in range(n):
-        incoming = np.zeros(adjacency[0].shape, dtype=np.uint8)
-        for u in range(n):
-            live = ((alive >> np.uint8(u)) & np.uint8(1)).astype(bool)
-            incoming |= np.where(live, adjacency[u], zero)
-        alive &= incoming
-    return alive == 0
+        fed = [0] * n
+        for (u, v), plane in edges.items():
+            fed[v] |= alive[u] & plane
+        alive = [a & f for a, f in zip(alive, fed)]
+    for a in alive:
+        full &= ~a
+    return full

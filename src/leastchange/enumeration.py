@@ -1,29 +1,21 @@
-"""Exhaustive census of pertinent matrices for each family.
+"""Exhaustive census of pertinent matrices for each family, on bit planes.
 
-An assignment of the m variable elements is an m-bit counter.  Which bits
-fill which cells is read from ``TypeSpec.fields`` (bit k drives the k-th
-variable cell in row-major order); ``_build_rows`` splices a whole array of
-counters into row bitmasks with it, exactly as ``TypeSpec.matrix_from_bits``
-does for one counter.  ``pertinent_mask`` is the one place that maps a
-family to its pertinence test, applied to a whole array of counters at once.
+An assignment of the m variable elements is an m-bit counter; bit k drives
+the k-th variable cell in row-major order (``TypeSpec.fields``).  A set of
+counters is a Python int used as a bit plane (bit c is counter c; Biham,
+FSE 1997): one AND or OR acts on all of them, with no array library.
 
 Every family splits the rows.  Laplace expansion along the top h = ceil(n/2)
 rows gives perm(M) = sum over the h-column sets S of perm(M[top, S]) *
 perm(M[bottom, S^c]) (Minc, *Permanents*, 1978), non-negative terms for a
 0/1 matrix: perm(M) = 0 (A, B) when no S makes both factors nonzero, and
 perm(M) = 1 (C) when exactly one does and both its factors are 1.  The top
-rows are the counter's low bits, the bottom rows its high bits.  Once per
-spec, one subset DP over each half's rows (``_block_permanents``) keys every
-half-counter by the column sets whose factor is nonzero and, for C, those
-where it is 1.  The lookup shares no kernel with the DAG census; the tests
-hold it to a full Hall sweep (A, B) and to the source peel (C), counter for
-counter.
-
-Counting visits no full counter and no dense mask space: each half is
-tallied by (distinct key, ones), the same rule marks which distinct keys
-pair up, and one integer product of the two tallies gives the table.  The
-bound i_max is certified by ``CoefficientTable``; the matrices meeting it
-are the top stratum of the interval attaining set in ``valuesets``.
+rows are the counter's low bits.  Per half, a subset DP over its rows gives
+every block's permanent, clipped at 2, and groups the half-counters by key:
+the column sets whose factor is nonzero (and, for C, 1).  The table sums the
+products of the tallies by ones of the key pairs that ``_fitting`` accepts;
+``pertinent_bits`` lays the same pairs out over all 2^m counters.  The tests
+hold the split to a full Hall sweep (A, B) and the source peel (C).
 """
 
 from __future__ import annotations
@@ -31,8 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DimensionError
 from .matrices import BinaryMatrix, TypeSpec
@@ -69,104 +59,119 @@ def total_pertinent(spec: TypeSpec) -> int:
     return count_pertinent(spec).total
 
 
-def _split_counts(spec: TypeSpec) -> np.ndarray:
-    """Histogram of one-counts over the pertinent counters, from the half tallies."""
-    keys, tallies = [], []
-    for half in _split_tables(spec)[:2]:
-        ones = np.bitwise_count(np.arange(len(half), dtype=np.uint32)).astype(np.intp)
-        distinct, inverse = np.unique(half, return_inverse=True)
-        width = int(ones[-1]) + 1
-        tally = np.bincount(inverse * width + ones, minlength=len(distinct) * width)
-        keys.append(distinct)
-        tallies.append(tally.reshape(len(distinct), width))
-    fits = _fits(spec, keys[0][:, None], keys[1][None, :]).astype(np.int64)
-    # joint[i, j]: pertinent counters with i ones on top and j below
-    joint = tallies[0].T @ (fits @ tallies[1])
-    counts = np.zeros(spec.m + 1, dtype=np.int64)
-    for i, row in enumerate(joint):
-        counts[i : i + len(row)] += row
-    return counts
+def _split_counts(spec: TypeSpec) -> list[int]:
+    """Histogram over 0..m ones of the pertinent counters.  A tally packs its
+    counts by ones into slots of m + 1 bits, so a product of tallies is their
+    convolution: no count is negative or reaches 2^(m+1)."""
+    width = spec.m + 1
+    (top, top_bits), (bottom, bottom_bits) = _split_groups(spec)
+
+    def tallies(groups, bits):
+        classes = _planes(bits)[1]
+        return {
+            key: sum((plane & cls).bit_count() << j * width for j, cls in enumerate(classes))
+            for key, plane in groups.items()
+        }
+
+    bottom_tallies = tallies(bottom, bottom_bits)
+    packed = sum(
+        tally * sum(_fitting(spec, key, bottom_tallies))
+        for key, tally in tallies(top, top_bits).items()
+    )
+    return [packed >> i * width & (1 << width) - 1 for i in range(width)]
 
 
-def pertinent_mask(spec: TypeSpec, counters: np.ndarray) -> np.ndarray:
-    """Pertinence of each uint32 assignment counter, as a boolean array."""
-    top, bottom, top_bits = _split_tables(spec)
-    # numpy gathers about twice as fast with intp indices as with uint32
-    low = (counters & np.uint32((1 << top_bits) - 1)).astype(np.intp)
-    high = (counters >> np.uint32(top_bits)).astype(np.intp)
-    return _fits(spec, top[low], bottom[high])
+def pertinent_bits(spec: TypeSpec) -> int:
+    """The plane of the pertinent counters among all 2^m.  Counter c is
+    ``low | high << top_bits``: per high half, the fitting low halves."""
+    (top, top_bits), (bottom, bottom_bits) = _split_groups(spec)
+    rows = [0] * (1 << bottom_bits)
+    for key, plane in bottom.items():
+        # the groups are disjoint, so their sum is their union
+        fitting = sum(_fitting(spec, key, top))
+        for high, bit in enumerate(bin(plane)[:1:-1]):
+            if bit == "1":
+                rows[high] = fitting
+    width = 1 << top_bits
+    while len(rows) > 1:
+        rows = [low | high << width for low, high in zip(rows[::2], rows[1::2])]
+        width *= 2
+    return rows[0]
 
 
-def _fits(spec: TypeSpec, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """Whether top and bottom keys make a matrix of the family's permanent.
-
-    Bits 0..c-1 of a key mark the column sets whose factor is nonzero, bits
-    c..2c-1 (family C) those whose factor is 1, which lie among the former.
-    """
-    column_sets = math.comb(spec.n, (spec.n + 1) // 2)
-    both = top & bottom
-    shared = both & ((1 << column_sets) - 1)
+def _fitting(spec: TypeSpec, key: int, others: dict[int, int]) -> list[int]:
+    """The values of ``others`` whose keys, with ``key``, make a matrix of the
+    family's permanent.  Bits 0..c-1 of a key mark the column sets with a
+    nonzero factor, bits c..2c-1 (C) those with factor 1; C needs one shared
+    nonzero set, and 1 * 1 on it."""
+    pairs = others.items()
     if spec.target_permanent == 0:
-        return shared == 0
-    return (np.bitwise_count(shared) == 1) & ((both >> column_sets) == shared)
+        return [v for k, v in pairs if not key & k]
+    c = math.comb(spec.n, (spec.n + 1) // 2)
+    low = (1 << c) - 1
+    return [v for k, v in pairs if (b := key & k).bit_count() == 2 and b >> c == b & low]
 
 
 @lru_cache(maxsize=None)
-def _split_tables(spec: TypeSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """Row-split keys of a spec: ``(top, bottom, top_bits)``.
+def _split_groups(spec: TypeSpec) -> tuple[tuple[dict[int, int], int], ...]:
+    """``((top, top_bits), (bottom, bottom_bits))``: per half, the plane of
+    the half-counters of each key.  Bit k of a key is set when the half's
+    block on the k-th of the c top column sets (or its complement) has a
+    nonzero permanent; for family C bit c + k says it is 1."""
+    n, h = spec.n, (spec.n + 1) // 2
+    top_sets = [sum(1 << j for j in s) for s in itertools.combinations(range(n), h)]
+    halves, shift = [], 0
+    for rows, sets in ((range(h), top_sets), (range(h, n), [(1 << n) - 1 ^ s for s in top_sets])):
+        bits = sum(width for i in rows for _, width, _ in spec.fields[i])
+        full, planes = (1 << (1 << bits)) - 1, _planes(bits)[0]
+        cover = [[full if spec.fixed_rows[i] >> j & 1 else 0 for j in range(n)] for i in rows]
+        for row, i in zip(cover, rows):
+            for start, width, col in spec.fields[i]:
+                row[col : col + width] = planes[start - shift : start - shift + width]
+        perms = _block_permanents(cover, full, n)
+        keys = [perms[s][0] for s in sets]
+        if spec.target_permanent:
+            keys += [one & ~two for one, two in (perms[s] for s in sets)]
+        groups = {0: full}
+        for k, key in enumerate(keys):
+            split = {}
+            for prefix, group in groups.items():
+                split[prefix | 1 << k], split[prefix] = group & key, group & ~key
+            groups = {prefix: group for prefix, group in split.items() if group}
+        halves.append((groups, bits))
+        shift += bits
+    return tuple(halves)
 
-    Bit k of ``top[low]`` is set when the top h rows have a nonzero
-    permanent on the k-th h-column set, bit k of ``bottom[high]`` when the
-    bottom n - h rows have one on its complement; for family C bit c + k
-    says that permanent is 1.
-    """
-    n = spec.n
-    h = (n + 1) // 2
-    top_bits = sum(width for runs in spec.fields[:h] for _, width, _ in runs)
-    lows = np.arange(1 << top_bits, dtype=np.uint32)
-    highs = np.arange(1 << (spec.m - top_bits), dtype=np.uint32) << np.uint32(top_bits)
-    top_perms = _block_permanents(_build_rows(spec, lows)[:h], n)
-    bottom_perms = _block_permanents(_build_rows(spec, highs)[h:], n)
-    column_sets = [sum(1 << j for j in s) for s in itertools.combinations(range(n), h)]
-    c = len(column_sets)
-    dtype = np.min_scalar_type((1 << 2 * c) - 1)
-    top, bottom = np.zeros(len(lows), dtype), np.zeros(len(highs), dtype)
-    for k, cols in enumerate(column_sets):
-        for key, perm in ((top, top_perms[cols]), (bottom, bottom_perms[((1 << n) - 1) ^ cols])):
-            key |= (perm != 0).astype(dtype) << k
-            if spec.target_permanent:
-                key |= (perm == 1).astype(dtype) << (c + k)
-    return top, bottom, top_bits
 
-
-def _block_permanents(rows: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """Permanent, clipped at 2, of the k rows on every k-column set.
-
-    ``rows`` has shape ``(k, N)``; the result maps each k-column mask to a
-    uint8 array of length N.  Adding row i, the permanent on a column set S
-    is the sum, over the columns j of S that the row covers, of the earlier
-    rows' permanent on S - {j}.  No term is negative, so clipping each sum
-    at 2 keeps 0, 1 and "2 or more" apart.  With k = 0 (the bottom half at
-    n = 1) the one block is 0x0, with permanent 1.
-    """
-    perms = {0: np.ones(rows.shape[1:], dtype=np.uint8)}
-    for i, row in enumerate(rows):
-        cover = [(row >> np.uint8(j)) & np.uint8(1) for j in range(n)]
+def _block_permanents(cover: list[list[int]], full: int, n: int) -> dict[int, tuple[int, int]]:
+    """Planes (>= 1, >= 2) of the permanent of the k rows on each k-column
+    mask, where ``cover[i][j]`` is the plane of the half-counters whose row i
+    covers column j.  Adding row i, the permanent on S sums the earlier rows'
+    on S - {j} over the covered j of S: a bit-sliced add saturating at 2, as
+    no term is negative.  With k = 0 (the bottom half at n = 1) the one block
+    is 0x0, with permanent 1."""
+    perms = {0: (full, 0)}
+    for i, row in enumerate(cover):
         grown = {}
         for cols in itertools.combinations(range(n), i + 1):
             mask = sum(1 << j for j in cols)
-            total = sum(cover[j] * perms[mask ^ (1 << j)] for j in cols)
-            grown[mask] = np.minimum(total, np.uint8(2))
+            one = two = 0
+            for j in cols:
+                a, b = perms[mask ^ (1 << j)]
+                a, b = a & row[j], b & row[j]
+                one, two = one | a, two | b | one & a
+            grown[mask] = (one, two)
         perms = grown
     return perms
 
 
-def _build_rows(spec: TypeSpec, counters: np.ndarray) -> np.ndarray:
-    """Row bitmasks of each counter's matrix, shape ``(n, len(counters))``."""
-    rows = np.zeros((spec.n, len(counters)), dtype=np.uint8)
-    for i, runs in enumerate(spec.fields):
-        for shift, width, col in runs:
-            field = (counters >> np.uint32(shift)) & np.uint32((1 << width) - 1)
-            rows[i] |= (field << np.uint32(col)).astype(np.uint8)
-        rows[i] |= np.uint8(spec.fixed_rows[i])
-    return rows
+def _planes(bits: int) -> tuple[list[int], list[int]]:
+    """Over 2^bits counters, plane k of those with bit k set and plane j of
+    those with j ones, grown by shift-and-OR doubling (dividing a repunit
+    instead is quadratic in CPython)."""
+    planes, classes = [], [1]
+    for k in range(bits):
+        half = 1 << k
+        planes = [p | p << half for p in planes] + [((1 << half) - 1) << half]
+        classes = [a | b << half for a, b in zip(classes + [0], [0] + classes)]
+    return planes, classes

@@ -13,8 +13,8 @@ equal to the family target), because then every determinant term beyond the
 forced ones vanishes identically.  So the attaining classes, counted by
 nonzeros, are the family's coefficient table: ``least`` over an interval
 reads ``genfunc.series_table`` and never loads this module or numpy (which
-is why ``ValueSet`` lives in ``values``).  The batched pertinence test of
-``enumeration.pertinent_mask`` runs over all 2^m patterns only when the
+is why ``ValueSet`` lives in ``values``).  The pertinence plane of
+``enumeration.pertinent_bits`` over all 2^m patterns is read only when the
 members themselves are asked for.  For a discrete set every assignment has
 positive probability, so plain minimization over assignments applies: one
 integer array holds every assignment's determinant, built by cofactor
@@ -26,8 +26,9 @@ digit k fills the k-th of its ``variable_positions``).  An attaining set
 keeps the ascending counters of its members and their numbers of nonzero
 variable elements, read from the value digits and never from cells; sizes
 come from those, membership from ``TypeSpec.counter_of`` of the candidate,
-and the members are decoded only when read.  Over an interval the members
-at i_max nonzeros are the witnesses that the fewest-zeros bound is tight.
+and the members are decoded only when read, one stratum of nonzeros at a
+time if asked so.  Over an interval the stratum at i_max nonzeros holds the
+witnesses that the fewest-zeros bound is tight.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .enumeration import pertinent_mask
+from .enumeration import pertinent_bits
 from .errors import BudgetError
 from .genfunc import Polynomial
 from .matrices import (
@@ -64,7 +65,8 @@ class AttainingSet:
 
     The set is its members' ascending assignment counters over the digit
     ``values`` (``None`` for 0/1 patterns, whose digits are the counter's
-    bits); ``members`` decodes them on first read.
+    bits); ``members`` decodes them on first read, ``stratum`` only those
+    with a given number of nonzeros.
     """
 
     spec: TypeSpec
@@ -90,10 +92,18 @@ class AttainingSet:
     @cached_property
     def members(self) -> tuple:
         """The attaining matrices, or patterns, in counter order."""
+        return self._decode(self.counters)
+
+    def stratum(self, i: int) -> tuple:
+        """The members with i nonzero variable elements, in counter order;
+        only they are decoded."""
+        return self._decode([c for c, k in zip(self.counters, self.nonzeros) if k == i])
+
+    def _decode(self, counters) -> tuple:
         if self.values is None:
-            return tuple(map(self.spec.matrix_from_bits, self.counters))
+            return tuple(map(self.spec.matrix_from_bits, counters))
         # members share row tuples: row i of a member is one of k^w_i candidates
-        hits, rows = np.array(self.counters, dtype=np.int64), []
+        hits, rows = np.array(counters, dtype=np.int64), []
         for entries in _row_entries(self.spec, self.values, Fraction(1), object):
             hits, row_hits = np.divmod(hits, len(entries))
             rows.append(np.fromiter(map(tuple, entries.tolist()), dtype=object)[row_hits])
@@ -104,11 +114,8 @@ class AttainingSet:
         return dict(sorted(Counter(self.nonzeros).items()))
 
     def partition(self) -> dict[int, tuple]:
-        """Members grouped by number of nonzero variable elements."""
-        groups: dict[int, list] = {}
-        for member, count in zip(self.members, self.nonzeros):
-            groups.setdefault(count, []).append(member)
-        return {i: tuple(ms) for i, ms in sorted(groups.items())}
+        """Members grouped by number of nonzero variable elements, ascending."""
+        return {i: self.stratum(i) for i in self.sizes()}
 
 
 def least_determinant(spec: TypeSpec, xset: ValueSet) -> Fraction:
@@ -147,7 +154,9 @@ def _continuous_scan(spec: TypeSpec) -> AttainingSet:
     """The pertinent patterns in counter order; they depend on the spec alone."""
     if 1 << spec.m > DISCRETE_BUDGET:
         raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
-    hits = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
+    size = 1 << spec.m
+    packed = np.frombuffer(pertinent_bits(spec).to_bytes((size + 7) // 8, "little"), np.uint8)
+    hits = np.flatnonzero(np.unpackbits(packed, count=size, bitorder="little"))
     return _attaining(spec, Fraction(spec.target_permanent), hits, None)
 
 

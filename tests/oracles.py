@@ -20,8 +20,6 @@ from leastchange import (
     one_plus_t_power,
     permanent_expansion,
 )
-from leastchange.dags import acyclic_mask
-from leastchange.enumeration import _build_rows
 from leastchange.genfunc import _coerce
 from leastchange.matrices import det_int
 from leastchange.probability import ChainReport, CurveSample, _chain_holds
@@ -136,6 +134,17 @@ def is_pertinent(spec, matrix: BinaryMatrix) -> bool:
 BATCH_SIZE = 1 << 20
 
 
+def build_rows(spec, counters: np.ndarray) -> np.ndarray:
+    """Row bitmasks of each uint32 counter's matrix, shape ``(n, len(counters))``."""
+    rows = np.zeros((spec.n, len(counters)), dtype=np.uint8)
+    for i, runs in enumerate(spec.fields):
+        for shift, width, col in runs:
+            field = (counters >> np.uint32(shift)) & np.uint32((1 << width) - 1)
+            rows[i] |= (field << np.uint32(col)).astype(np.uint8)
+        rows[i] |= np.uint8(spec.fixed_rows[i])
+    return rows
+
+
 def hall_violated(rows: np.ndarray, n: int) -> np.ndarray:
     """True where some subset of the n rows covers fewer columns than its size.
 
@@ -158,7 +167,7 @@ def scan_mask(spec, counters: np.ndarray) -> np.ndarray:
     family C (permanent 1) takes the DAG census's source peel of the digraph
     left when the fixed unit diagonal is cleared.
     """
-    rows = _build_rows(spec, counters)
+    rows = build_rows(spec, counters)
     if spec.family == "C":
         return acyclic_mask([row ^ np.uint8(1 << i) for i, row in enumerate(rows)], spec.n)
     return hall_violated(rows, spec.n)
@@ -172,6 +181,64 @@ def scan_counts(spec) -> np.ndarray:
         counters = np.arange(lo, min(lo + BATCH_SIZE, 1 << m), dtype=np.uint32)
         pert = scan_mask(spec, counters)
         counts += np.bincount(np.bitwise_count(counters[pert]), minlength=m + 1)
+    return counts
+
+
+# --- dags ------------------------------------------------------------------
+
+
+def peel(adjacency: tuple[int, ...], n: int) -> bool:
+    """Scalar source peeling of one digraph's adjacency rows."""
+    alive = (1 << n) - 1
+    while alive:
+        incoming = 0
+        probe = alive
+        while probe:
+            low = probe & -probe
+            incoming |= adjacency[low.bit_length() - 1]
+            probe ^= low
+        sources = alive & ~incoming
+        if not sources:
+            return False
+        alive &= ~sources
+    return True
+
+
+def acyclic_mask(adjacency: list[np.ndarray], n: int) -> np.ndarray:
+    """Vectorized source peeling over batches of uint8 adjacency row arrays.
+
+    True where repeatedly deleting in-degree-0 vertices empties the graph;
+    each round keeps exactly the live vertices with a live predecessor.
+    """
+    alive = np.full(adjacency[0].shape, np.uint8((1 << n) - 1), dtype=np.uint8)
+    zero = np.uint8(0)
+    for _ in range(n):
+        incoming = np.zeros(adjacency[0].shape, dtype=np.uint8)
+        for u in range(n):
+            live = ((alive >> np.uint8(u)) & np.uint8(1)).astype(bool)
+            incoming |= np.where(live, adjacency[u], zero)
+        alive &= incoming
+    return alive == 0
+
+
+def census_batched(n: int) -> np.ndarray:
+    """DAGs on n vertices by edge count over 0..n^2-n, decoding the base-3
+    pair states in numpy batches (digit 1 forward, 2 backward) and keeping
+    those that ``acyclic_mask`` empties."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total_states = 3 ** len(pairs)
+    counts = np.zeros(n * n - n + 1, dtype=np.int64)
+    for lo in range(0, total_states, BATCH_SIZE):
+        digits = np.arange(lo, min(lo + BATCH_SIZE, total_states), dtype=np.int64)
+        adjacency = [np.zeros(digits.shape, dtype=np.uint8) for _ in range(n)]
+        edge_count = np.zeros(digits.shape, dtype=np.int64)
+        for i, j in pairs:
+            d = digits % 3
+            digits = digits // 3
+            adjacency[i] |= np.where(d == 1, np.uint8(1 << j), np.uint8(0))
+            adjacency[j] |= np.where(d == 2, np.uint8(1 << i), np.uint8(0))
+            edge_count += (d != 0).astype(np.int64)
+        counts += np.bincount(edge_count[acyclic_mask(adjacency, n)], minlength=len(counts))
     return counts
 
 

@@ -350,29 +350,27 @@ class TestVerify:
         assert out.count("PASS") == 3
 
     def test_acyclic_suite_reads_the_batched_predicate(self, capsys, monkeypatch):
-        real = enumeration.pertinent_mask
+        real = enumeration.pertinent_bits
 
-        def flipped(spec, counters):
-            mask = real(spec, counters)
-            mask[-1] = not mask[-1]
-            return mask
+        def flipped(spec):
+            # the last counter's verdict, bit 2^m - 1 of the plane
+            return real(spec) ^ 1 << (1 << spec.m) - 1
 
         # the suite imports the predicate when it runs, so patch it at the source
-        monkeypatch.setattr(enumeration, "pertinent_mask", flipped)
+        monkeypatch.setattr(enumeration, "pertinent_bits", flipped)
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 1
         assert "FAIL  permanent-1 vs acyclic n=3" in out
 
     def test_acyclic_suite_reads_the_census_peel(self, capsys, monkeypatch):
-        real = dags.acyclic_mask
+        real = dags.acyclic_bits
 
-        def flipped(adjacency, n):
-            mask = real(adjacency, n)
-            mask[-1] = not mask[-1]
-            return mask
+        def flipped(edges, n, full):
+            # the last graph's verdict, the top bit of the plane
+            return real(edges, n, full) ^ (full + 1) >> 1
 
         # the suite checks the census's kernel as well as the enumeration's
-        monkeypatch.setattr(dags, "acyclic_mask", flipped)
+        monkeypatch.setattr(dags, "acyclic_bits", flipped)
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 1
         assert "FAIL  permanent-1 vs acyclic n=3" in out

@@ -1,11 +1,11 @@
 """Cold-start guards: what a fresh interpreter loads for each entry point.
 
-Only the array modules (``enumeration``, ``dags``, ``valuesets``) import
-numpy, and the package loads its submodules on first access, so importing
-the CLI, drawing curves, the series route of ``count``, ``least`` over an
-interval and the route-reach checks never load numpy.
-Every check runs in a new interpreter: this test session imported numpy
-long ago.
+Only ``valuesets`` imports numpy, and the package loads its submodules on
+first access, so importing the CLI, drawing curves, ``count`` on every
+route, ``least`` over an interval and the ``verify`` suites that count
+(tables, routes, oeis, acyclic) never load numpy; ``least`` over a discrete
+set does.  Every check runs in a new interpreter: this test session
+imported numpy long ago.
 """
 
 import os
@@ -58,24 +58,28 @@ MAIN = "from leastchange.cli import main\n"
         MAIN + "assert main(['verify', 'routes', '--n', '7']) == 2",
         MAIN + "assert main(['least', '--family', 'C', '--n', '4', '--values', '[0:2]']) == 0",
         MAIN + "assert main(['least', '--family', 'B', '--n', '4', '--values', '[0:2]']) == 0",
+        MAIN + "assert main(['count', '--family', 'A', '--n', '5']) == 0",
+        MAIN + "assert main(['count', '--family', 'C', '--n', '5', '--route', 'all']) == 0",
+        MAIN + "assert main(['count', '--family', 'C', '--n', '6', '--route', 'dag']) == 0",
+        MAIN + "assert main(['verify', 'tables']) == 0",
+        MAIN + "assert main(['verify', 'routes']) == 0",
+        # exit 1: the pinned one-digit misprint of the published A5 total
+        MAIN + "assert main(['verify', 'oeis']) == 1",
+        MAIN + "assert main(['verify', 'acyclic']) == 0",
     ],
     ids=[
         "import-cli", "curve", "count-gf", "count-all-past-census", "count-gf-a", "routes-cap",
-        "least-interval-C4", "least-interval-B4",
+        "least-interval-C4", "least-interval-B4", "count-enumeration-A5", "count-all-C5",
+        "count-dag-C6", "verify-tables", "verify-routes", "verify-oeis", "verify-acyclic",
     ],
 )
 def test_numpy_is_not_loaded(code):
     assert not numpy_loaded_after(code)
 
 
-def test_enumeration_loads_numpy():
-    # the probe itself can see numpy, so the guards above can fail
-    code = MAIN + "assert main(['count', '--family', 'A', '--n', '3']) == 0"
-    assert numpy_loaded_after(code)
-
-
 def test_discrete_least_loads_numpy():
-    # a discrete set is scanned by the determinant array, unlike an interval
+    # a discrete set is scanned by the determinant array, unlike an interval;
+    # the probe itself can see numpy, so the guards above can fail
     code = MAIN + "assert main(['least', '--family', 'C', '--n', '3', '--values', '0,1']) == 0"
     assert numpy_loaded_after(code)
 
@@ -124,22 +128,25 @@ def test_c_count_does_not_load_the_census():
 
 
 THREADS = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+# a discrete ``least`` starts numpy
+LEAST_01 = MAIN + "assert main(['least', '--family', 'C', '--n', '3', '--values', '0,1']) == 0\n"
 
 
 def test_cli_starts_numpy_with_one_blas_thread():
     # no routine calls BLAS, so the CLI does not start OpenBLAS's thread pool
-    code = MAIN + "assert main(['count', '--family', 'A', '--n', '3']) == 0\n" + THREADS
-    assert run_fresh(code, OPENBLAS_NUM_THREADS=None)[-1] == "1"
+    assert run_fresh(LEAST_01 + THREADS, OPENBLAS_NUM_THREADS=None)[-1] == "1"
 
 
 def test_cli_keeps_the_users_blas_threads():
-    code = MAIN + "assert main(['count', '--family', 'A', '--n', '3']) == 0\n" + THREADS
-    assert run_fresh(code, OPENBLAS_NUM_THREADS="3")[-1] == "3"
+    assert run_fresh(LEAST_01 + THREADS, OPENBLAS_NUM_THREADS="3")[-1] == "3"
 
 
 def test_library_leaves_blas_threads_alone():
     code = (
         "import leastchange\n"
-        "leastchange.count_pertinent(leastchange.TypeSpec('A', 3))\n" + THREADS
+        "spec, values = leastchange.TypeSpec('C', 3), leastchange.ValueSet.discrete([0, 1])\n"
+        "leastchange.least_determinant(spec, values)\n"
+        "import sys\n"
+        "assert 'numpy' in sys.modules\n" + THREADS
     )
     assert run_fresh(code, OPENBLAS_NUM_THREADS=None)[-1] == "None"

@@ -1,4 +1,5 @@
 import pytest
+from oracles import census_batched, peel
 
 from leastchange import (
     BinaryMatrix,
@@ -13,7 +14,8 @@ from leastchange import (
     matrix_to_digraph,
     permanent_expansion,
 )
-from leastchange.dags import _peel
+from leastchange import dags
+from leastchange.dags import acyclic_bits
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import ROUTE_DAG_CENSUS
 
@@ -39,7 +41,7 @@ def mask_recount(n):
         for a, (i, j) in enumerate(cells):
             if (mask >> a) & 1:
                 adjacency[i] |= 1 << j
-        if _peel(tuple(adjacency), n):
+        if peel(tuple(adjacency), n):
             counts[mask.bit_count()] += 1
     i_max = (n * n - n) // 2
     assert not any(counts[i_max + 1 :]), "acyclic mask above the edge bound"
@@ -142,6 +144,22 @@ class TestCensus:
             assert table.total == 3781503  # labeled DAGs on 6 vertices
             assert len(table.coeffs) == 16
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_plane_census_equals_batched_census(self, n):
+        # the numpy census decodes every state's base-3 digits in batches
+        counts = census_batched(n).tolist()
+        table = count_dags_by_edges(n)
+        assert counts == list(table.coeffs) + [0] * (len(counts) - len(table.coeffs))
+
+    @pytest.mark.parametrize("low_digits, n_max", [(0, 4), (3, 5), (7, 5)])
+    def test_high_digits_take_one_peel_each(self, monkeypatch, low_digits, n_max):
+        # with n <= 5 every digit fits in one plane; fewer low digits send
+        # the rest through the loop over the high digits, as at n = 6
+        monkeypatch.setattr(dags, "LOW_DIGITS", low_digits)
+        for n in range(1, n_max + 1):
+            table = count_dags_by_edges.__wrapped__(n)
+            assert table.coeffs == REFERENCE_COUNTS["C"][n]
+
     def test_memoized_per_process(self):
         assert count_dags_by_edges(5) is count_dags_by_edges(5)
 
@@ -149,6 +167,27 @@ class TestCensus:
         # a DAG on n vertices carries at most n*(n-1)/2 edges
         for n in range(1, 6):
             assert len(count_dags_by_edges(n).coeffs) == (n * n - n) // 2 + 1
+
+
+class TestPlanePeel:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_the_scalar_peel_on_every_digraph(self, n):
+        # bit s of each edge plane is bit (u, v) of the off-diagonal mask s
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        size = 1 << len(cells)
+        planes = {}
+        for k, cell in enumerate(cells):
+            plane = 0
+            for mask in range(size):
+                plane |= (mask >> k & 1) << mask
+            planes[cell] = plane
+        acyclic = acyclic_bits(planes, n, (1 << size) - 1)
+        for mask in range(size):
+            adjacency = [0] * n
+            for k, (i, j) in enumerate(cells):
+                adjacency[i] |= (mask >> k & 1) << j
+            assert (acyclic >> mask & 1) == peel(tuple(adjacency), n)
+        assert acyclic >> size == 0
 
 
 class TestPermanentBridge:

@@ -1,12 +1,13 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import is_pertinent, nonzero_cells, scan_counts, scan_mask
+from oracles import build_rows, is_pertinent, nonzero_cells, scan_counts, scan_mask
 
 from leastchange import (
     BinaryMatrix,
@@ -22,9 +23,17 @@ from leastchange import (
     permanent_expansion,
     total_pertinent,
 )
-from leastchange.enumeration import _build_rows, _split_counts, pertinent_mask
+from leastchange.enumeration import _split_counts, pertinent_bits
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
+
+
+@cache
+def pertinence(spec) -> np.ndarray:
+    """The pertinence plane of all 2^m counters, one bool per counter."""
+    size = 1 << spec.m
+    packed = np.frombuffer(pertinent_bits(spec).to_bytes((size + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").astype(bool)
 
 
 class TestIsPertinent:
@@ -110,7 +119,7 @@ class TestSplitCount:
         # the batched per-counter scan (Hall sweep, or peel for C) is the
         # oracle of the half-tally count
         spec = TypeSpec(family, n)
-        assert np.array_equal(_split_counts(spec), scan_counts(spec))
+        assert _split_counts(spec) == scan_counts(spec).tolist()
 
 
 def _row_major_rows(spec, bits):
@@ -139,7 +148,7 @@ class TestOneLayout:
     def test_counter_decoders_share_the_layout(self, family, n):
         spec = TypeSpec(family, n)
         counters = np.arange(1 << spec.m, dtype=np.uint32)
-        built = _build_rows(spec, counters).T.tolist()
+        built = build_rows(spec, counters).T.tolist()
         for bits in range(1 << spec.m):
             matrix = spec.matrix_from_bits(bits)
             assert matrix.rows == _row_major_rows(spec, bits)
@@ -150,7 +159,7 @@ class TestOneLayout:
     def test_nonzero_count_is_counter_popcount(self, family):
         spec = TypeSpec(family, 3)
         attaining = attaining_matrices(spec, ValueSet.continuous(0, 1))
-        counters = np.flatnonzero(pertinent_mask(spec, np.arange(1 << spec.m, dtype=np.uint32)))
+        counters = np.flatnonzero(pertinence(spec))
         assert len(counters) == len(attaining) > 0
         assert len(attaining.nonzeros) == len(attaining)
         for k, (bits, member) in enumerate(zip(counters, attaining.members)):
@@ -218,25 +227,27 @@ class TestRowSplitLookup:
         # source peel for C; at n = 1 the bottom block is 0x0 (permanent 1)
         spec = TypeSpec(family, n)
         counters = np.arange(1 << spec.m, dtype=np.uint32)
-        assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
+        assert np.array_equal(pertinence(spec), scan_mask(spec, counters))
 
     def test_matches_full_sweep_b5(self):
         spec = TypeSpec("B", 5)
         for lo in range(0, 1 << spec.m, 1 << 20):
-            counters = np.arange(lo, lo + (1 << 20), dtype=np.uint32)
-            assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
+            hi = lo + (1 << 20)
+            counters = np.arange(lo, hi, dtype=np.uint32)
+            assert np.array_equal(pertinence(spec)[lo:hi], scan_mask(spec, counters))
 
     def test_matches_peel_c5(self):
         spec = TypeSpec("C", 5)
         counters = np.arange(1 << spec.m, dtype=np.uint32)
-        assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
+        assert np.array_equal(pertinence(spec), scan_mask(spec, counters))
 
     @pytest.mark.parametrize("index", [0, 16, 31])
     def test_matches_full_sweep_a5_slice(self, index):
         # first, middle and last of the 32 slices of 2^20 counters
         spec = TypeSpec("A", 5)
-        counters = np.arange(index << 20, (index + 1) << 20, dtype=np.uint32)
-        assert np.array_equal(pertinent_mask(spec, counters), scan_mask(spec, counters))
+        lo, hi = index << 20, (index + 1) << 20
+        counters = np.arange(lo, hi, dtype=np.uint32)
+        assert np.array_equal(pertinence(spec)[lo:hi], scan_mask(spec, counters))
 
     @given(family=st.sampled_from("ABC"), data=st.data())
     def test_matches_the_permanent_at_n5(self, family, data):
@@ -245,7 +256,18 @@ class TestRowSplitLookup:
         sparse = st.sets(st.integers(0, spec.m - 1)).map(lambda ks: sum(1 << k for k in ks))
         bits = data.draw(st.integers(0, (1 << spec.m) - 1) | sparse)
         expected = permanent_expansion(spec.matrix_from_bits(bits)) == spec.target_permanent
-        assert pertinent_mask(spec, np.array([bits], dtype=np.uint32))[0] == expected
+        assert pertinence(spec)[bits] == expected
+
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_plane_is_the_pertinent_counters(self, family, n):
+        # the plane read bit by bit, against the definitional permanent
+        spec = TypeSpec(family, n)
+        plane = pertinent_bits(spec)
+        assert plane >> (1 << spec.m) == 0
+        for bits in range(1 << spec.m):
+            expected = permanent_expansion(spec.matrix_from_bits(bits)) == spec.target_permanent
+            assert (plane >> bits & 1) == expected
 
 
 class TestIndependentRecount:
@@ -307,9 +329,9 @@ class TestMatchingPredicate:
 
 def top_stratum(spec):
     """The matrices with the fewest zeros a pertinent matrix can have."""
-    partition = attaining_patterns(spec, ValueSet.continuous(0, 1)).partition()
-    assert max(partition) == spec.i_max
-    return partition[spec.i_max]
+    patterns = attaining_patterns(spec, ValueSet.continuous(0, 1))
+    assert max(patterns.sizes()) == spec.i_max
+    return patterns.stratum(spec.i_max)
 
 
 class TestVerifyExtremes:
@@ -353,6 +375,23 @@ class TestVerifyExtremes:
         spec = TypeSpec("C", 2)
         assert spec.j_min == 1 and spec.i_max == 1
         assert len(top_stratum(spec)) == 2
+
+    def test_b5_top_stratum_decodes_only_its_members(self, monkeypatch):
+        # 160,256 pertinent B5 patterns; listing the 2 witnesses decodes 2
+        spec = TypeSpec("B", 5)
+        patterns = attaining_patterns(spec, ValueSet.continuous(0, 1))
+        decoded = []
+        real = TypeSpec.matrix_from_bits
+
+        def counting(self, bits):
+            decoded.append(bits)
+            return real(self, bits)
+
+        monkeypatch.setattr(TypeSpec, "matrix_from_bits", counting)
+        witnesses = patterns.stratum(spec.i_max)
+        assert len(patterns) == 160256
+        assert len(witnesses) == len(decoded) == 2
+        assert [spec.counter_of(w) for w in witnesses] == decoded
 
     def test_family_b_witnesses_are_line_zeroings(self):
         witnesses = top_stratum(TypeSpec("B", 3))

@@ -27,7 +27,7 @@ from leastchange import (
     support,
 )
 from leastchange.cli import main
-from leastchange.enumeration import pertinent_mask
+from leastchange.enumeration import pertinent_bits
 from leastchange.valuesets import _continuous_scan, _discrete_scan, _pattern_scan
 
 HALF = Fraction(1, 2)
@@ -360,11 +360,11 @@ class TestContinuousScan:
     def test_one_pertinence_pass_per_spec(self, monkeypatch):
         calls = []
 
-        def counting(spec, counters):
+        def counting(spec):
             calls.append(spec)
-            return pertinent_mask(spec, counters)
+            return pertinent_bits(spec)
 
-        monkeypatch.setattr(valuesets, "pertinent_mask", counting)
+        monkeypatch.setattr(valuesets, "pertinent_bits", counting)
         valuesets._continuous_scan.cache_clear()
         spec = TypeSpec("B", 3)
         sets = [
