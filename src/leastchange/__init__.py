@@ -5,9 +5,9 @@ equals the family target, three independent ways, and assembles the exact
 probability polynomials that a single-entry perturbation changes a
 determinant as little as possible.
 
-Exports and submodules load on first access (PEP 562), so numpy is imported
-only by ``valuesets``, whose value-set scans read integer arrays, and only
-when it is used; the counting routes run on Python ints.
+Exports and submodules load on first access (PEP 562).  Every route and
+every value-set scan runs on Python ints and Fractions: the package imports
+nothing outside the standard library.
 """
 
 import importlib

@@ -6,25 +6,24 @@ census; how far each reaches is ``tables.ROUTE_MAX_N``.
 Exit codes: 0 success/agreement, 1 verification or agreement failure,
 2 usage error (including an output file that cannot be written).
 
-Only ``valuesets`` imports numpy, and it loads inside the handlers that call
-it: ``least`` over a discrete set and the ``witnesses``, ``inclusion`` and
-``complement`` suites of ``verify``.  ``count`` on every route, ``curve``,
-``least`` over an interval (answered from the series table, up to n = 24) and
-the other ``verify`` suites start without numpy.
+Every routine runs on Python ints and Fractions, with no third-party
+import.  ``valuesets`` loads inside the handlers that call it: ``least`` over
+a discrete set and the ``witnesses``, ``inclusion`` and ``complement`` suites
+of ``verify``; ``least`` over an interval is answered from the series table,
+up to n = 24.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import reference
 from .errors import BudgetError, DimensionError, PatternError
 from .genfunc import series_table
-from .matrices import TypeSpec, permanent_expansion
+from .matrices import TypeSpec
 from .probability import emit_curve, family_tables, find_order_violation
 from .tables import (
     ROUTE_DAG_CENSUS,
@@ -263,20 +262,21 @@ def _suite_acyclic(args) -> list[tuple[str, bool, str]]:
             f"acyclic suite visits all 2^(n^2-n) masks, n <= {enumeration_max}, got {n_max}"
         )
     from .dags import acyclic_bits
-    from .enumeration import _planes, pertinent_bits
+    from .enumeration import _block_permanents, _planes, pertinent_bits
 
     out = []
     for n in range(1, n_max + 1):
-        # the census's peel and the enumeration's row split, per matrix: bit c
-        # of each plane is counter c, and counter bit k drives the k-th edge
+        # three planes over all 2^m counters: bit c is counter c's verdict, and
+        # counter bit k drives the k-th edge, the k-th variable cell
         spec = TypeSpec("C", n)
-        size = 1 << spec.m
+        full = (1 << (1 << spec.m)) - 1
         cells = zip(spec.variable_positions, _planes(spec.m)[0])
-        peel = acyclic_bits({(i - 1, j - 1): plane for (i, j), plane in cells}, n, (1 << size) - 1)
-        # one character per counter, lowest first
-        found = [f"{bits:0{size}b}"[::-1] for bits in (peel, pertinent_bits(spec))]
-        perm_one = ("01"[permanent_expansion(spec.matrix_from_bits(c)) == 1] for c in range(size))
-        bad = sum(len(set(verdicts)) > 1 for verdicts in zip(perm_one, *found))
+        edges = {(i - 1, j - 1): plane for (i, j), plane in cells}
+        peel = acyclic_bits(edges, n, full)
+        # the permanent of all n rows, with no row split; the diagonal is 1
+        cover = [[edges.get((i, j), full) for j in range(n)] for i in range(n)]
+        one, two = _block_permanents(cover, full, n)[(1 << n) - 1]
+        bad = ((peel ^ pertinent_bits(spec)) | (peel ^ one & ~two)).bit_count()
         out.append(
             (f"permanent-1 vs acyclic n={n}", bad == 0, f"{1 << spec.m} matrices")
         )
@@ -389,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # no routine here calls BLAS, so numpy need not start OpenBLAS's thread pool
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,7 +10,7 @@ a sample keeps P_A, P_B and P_C as integers over the common denominator
 q^(n^2) (the largest of the three m), the chain is tested on those integers,
 and each CSV value is one integer true division, which rounds the rational
 exactly as ``float(Fraction)`` does.  The default tables come from the series
-routes of ``genfunc``, so curves never load numpy.
+routes of ``genfunc``, so curves never enumerate.
 """
 
 from __future__ import annotations

@@ -43,9 +43,9 @@ class CoefficientTable:
     def from_counts(cls, spec: TypeSpec, counts, route: str) -> "CoefficientTable":
         """Table from a route's histogram over 0 .. m ones (or any prefix of it).
 
-        Counts must be integers (numpy ints become Python ints); a pertinent
-        assignment with more than i_max ones means the family arithmetic
-        or the route is wrong.
+        Counts must be integers, kept as Python ints; a pertinent assignment
+        with more than i_max ones means the family arithmetic or the route
+        is wrong.
         """
         coeffs = [operator.index(c) for c in counts]
         if any(coeffs[spec.i_max + 1 :]):

@@ -1,7 +1,7 @@
 """Value sets of the variable elements: finite sets of fractions, or an
 interval around 0.
 
-Kept apart from ``valuesets`` so that reading a value set loads no numpy:
+Kept apart from ``valuesets`` so that reading a value set loads no scan:
 over an interval, ``least`` answers from a coefficient table.
 """
 

@@ -12,23 +12,23 @@ attains the least value exactly when its pattern is pertinent (permanent
 equal to the family target), because then every determinant term beyond the
 forced ones vanishes identically.  So the attaining classes, counted by
 nonzeros, are the family's coefficient table: ``least`` over an interval
-reads ``genfunc.series_table`` and never loads this module or numpy (which
-is why ``ValueSet`` lives in ``values``).  The pertinence plane of
+reads ``genfunc.series_table`` and never loads this module (which is why
+``ValueSet`` lives in ``values``).  The pertinence plane of
 ``enumeration.pertinent_bits`` over all 2^m patterns is read only when the
 members themselves are asked for.  For a discrete set every assignment has
 positive probability, so plain minimization over assignments applies: one
-integer array holds every assignment's determinant, built by cofactor
+list of Python ints holds every assignment's determinant, built by cofactor
 expansion one row at a time.
 
 Which cells are variable and which are fixed at 1 comes from ``TypeSpec``
 alone: both scans visit the assignments in the order of its counter (value
 digit k fills the k-th of its ``variable_positions``).  An attaining set
 keeps the ascending counters of its members and their numbers of nonzero
-variable elements, read from the value digits and never from cells; sizes
-come from those, membership from ``TypeSpec.counter_of`` of the candidate,
-and the members are decoded only when read, one stratum of nonzeros at a
-time if asked so.  Over an interval the stratum at i_max nonzeros holds the
-witnesses that the fewest-zeros bound is tight.
+variable elements, summed over the rows' value digits and never read from
+cells; sizes come from those, membership from ``TypeSpec.counter_of`` of the
+candidate, and the members are decoded only when read, one stratum of
+nonzeros at a time if asked so.  Over an interval the stratum at i_max
+nonzeros holds the witnesses that the fewest-zeros bound is tight.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache, partial, reduce
 
 from .enumeration import pertinent_bits
 from .errors import BudgetError
@@ -57,6 +56,8 @@ from .matrices import (
 from .values import ValueSet
 
 DISCRETE_BUDGET = 20_000_000
+# bin() digits to bytes 0/1, so that compress() keeps the set bits
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,16 @@ class AttainingSet:
         if self.values is None:
             return tuple(map(self.spec.matrix_from_bits, counters))
         # members share row tuples: row i of a member is one of k^w_i candidates
-        hits, rows = np.array(counters, dtype=np.int64), []
-        for entries in _row_entries(self.spec, self.values, Fraction(1), object):
-            hits, row_hits = np.divmod(hits, len(entries))
-            rows.append(np.fromiter(map(tuple, entries.tolist()), dtype=object)[row_hits])
-        return tuple(RationalMatrix(self.spec.n, r) for r in zip(*rows))
+        tables = [entries for entries, _ in _row_choices(self.spec, self.values, Fraction(1))]
+
+        def member(counter):
+            rows = []
+            for entries in tables:
+                counter, digit = divmod(counter, len(entries))
+                rows.append(entries[digit])
+            return RationalMatrix(self.spec.n, tuple(rows))
+
+        return tuple(map(member, counters))
 
     def sizes(self) -> dict[int, int]:
         """Number of members per number of nonzero variable elements, ascending."""
@@ -154,94 +160,28 @@ def _continuous_scan(spec: TypeSpec) -> AttainingSet:
     """The pertinent patterns in counter order; they depend on the spec alone."""
     if 1 << spec.m > DISCRETE_BUDGET:
         raise BudgetError(f"2^{spec.m} patterns exceed the {DISCRETE_BUDGET} budget")
-    size = 1 << spec.m
-    packed = np.frombuffer(pertinent_bits(spec).to_bytes((size + 7) // 8, "little"), np.uint8)
-    hits = np.flatnonzero(np.unpackbits(packed, count=size, bitorder="little"))
-    return _attaining(spec, Fraction(spec.target_permanent), hits, None)
+    bits = bin(pertinent_bits(spec))[:1:-1].encode().translate(_BIT_BYTES)
+    hits = tuple(itertools.compress(itertools.count(), bits))
+    nonzeros = tuple(c.bit_count() for c in hits)
+    return AttainingSet(spec, Fraction(spec.target_permanent), hits, nonzeros, None)
 
 
 @lru_cache(maxsize=256)
 def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
-    """Least |det|, +u before -u, and its attaining assignments."""
+    """Least |det|, +u before -u, and its attaining assignments, from one
+    determinant array."""
     if xset.kind != "discrete":
         raise ValueError("discrete scan needs a discrete value set")
-    least, hits = _least_counters(spec, xset.values)
-    return _attaining(spec, least, hits, xset.values)
-
-
-def _attaining(
-    spec: TypeSpec, value: Fraction, hits: np.ndarray, values: tuple[Fraction, ...] | None
-) -> AttainingSet:
-    """Attaining set of the ascending counters ``hits`` over the digit
-    ``values`` (0/1 patterns when None), with each one's nonzero digits."""
-    k, zero = (2, 0) if values is None else (len(values), values.index(0))
-    nonzeros, rest = np.full(len(hits), spec.m), hits
-    for _, digits in _row_digits(spec, k):
-        rest, row_hits = np.divmod(rest, len(digits))
-        nonzeros -= (digits == zero).sum(axis=1)[row_hits]
-    return AttainingSet(spec, value, tuple(hits.tolist()), tuple(nonzeros.tolist()), values)
-
-
-def _row_digits(spec: TypeSpec, k: int):
-    """Per row of ``spec.fields``: its variable columns and the digits of its
-    k^w assignments, lowest first."""
-    for runs in spec.fields:
-        cols = [c for _, width, start in runs for c in range(start, start + width)]
-        yield cols, np.arange(k ** len(cols))[:, None] // k ** np.arange(len(cols)) % k
-
-
-def _row_entries(spec: TypeSpec, values, fixed, dtype):
-    """Per row of ``spec.fields``: the (k^w, n) array of the entries of its
-    assignments, lowest digits first, ``fixed`` in fixed cells."""
-    for cols, digits in _row_digits(spec, len(values)):
-        entries = np.full((len(digits), spec.n), fixed, dtype=dtype)
-        entries[:, cols] = np.array(values, dtype=dtype)[digits]
-        yield entries
-
-
-def _least_counters(spec: TypeSpec, values: tuple[Fraction, ...]) -> tuple[Fraction, np.ndarray]:
-    """Least |det| (+u before -u) over the value digits, and the counters of
-    the assignments attaining it, ascending."""
-    least, attaining = _attaining_bits(spec, values)
-    return least, np.flatnonzero(np.unpackbits(attaining, count=len(values) ** spec.m))
-
-
-@lru_cache(maxsize=256)
-def _attaining_bits(spec: TypeSpec, values: tuple[Fraction, ...]) -> tuple[Fraction, np.ndarray]:
-    """Least |det| and one packed bit per assignment, set where it is attained,
-    from one determinant array.  Cached so that the {0, 1} discrete scan and
-    the pattern scan of a spec share one array; packed, an entry costs an
-    eighth of a byte per assignment and does not grow with the attainers."""
-    k, m, n = len(values), spec.m, spec.n
-    if k**m > DISCRETE_BUDGET:
-        raise BudgetError(f"{k}^{m} assignments exceed the {DISCRETE_BUDGET} budget")
+    values, m = xset.values, spec.m
+    if len(values) ** m > DISCRETE_BUDGET:
+        raise BudgetError(f"{len(values)}^{m} assignments exceed the {DISCRETE_BUDGET} budget")
     scale = math.lcm(*(v.denominator for v in values))
-    scaled = [int(v * scale) for v in values]
-    # every minor and partial Laplace sum is below n! * max|entry|^n
-    fits = math.factorial(n) * max(scale, *map(abs, scaled)) ** n < 1 << 62
-    dets = _determinants(spec, scaled, scale, np.int64 if fits else object)
-    least = int(np.abs(dets).min())
-    u_scaled = least if (dets == least).any() else -least
-    attaining = np.packbits(dets == u_scaled)
-    attaining.flags.writeable = False  # cached, and shared by both scans
-    return Fraction(u_scaled, scale**n), attaining
-
-
-def _determinants(spec: TypeSpec, scaled, scale: int, dtype) -> np.ndarray:
-    """Every assignment's determinant by counter (fixed cells hold ``scale``).
-    Cofactor expansion row by row: ``minors[s]`` is the minor of rows 0..i on
-    columns s for every assignment of those rows, which take the lower digits."""
-    n = spec.n
-    minors = {(): np.ones(1, dtype=dtype)}
-    for i, entries in enumerate(_row_entries(spec, scaled, scale, dtype)):
-        minors = {
-            s: np.ravel(
-                (entries[:, s] * (-1) ** (i + np.arange(i + 1)))
-                @ np.stack([minors[s[:p] + s[p + 1 :]] for p in range(i + 1)])
-            )
-            for s in itertools.combinations(range(n), i + 1)
-        }
-    return minors[tuple(range(n))]
+    dets, nonzeros = _determinants(spec, [int(v * scale) for v in values], scale)
+    least = min(map(abs, dets))
+    u_scaled = least if least in dets else -least
+    hits = tuple(itertools.compress(itertools.count(), map(u_scaled.__eq__, dets)))
+    value = Fraction(u_scaled, scale**spec.n)
+    return AttainingSet(spec, value, hits, tuple(map(nonzeros.__getitem__, hits)), values)
 
 
 @lru_cache(maxsize=256)
@@ -249,10 +189,55 @@ def _pattern_scan(spec: TypeSpec) -> AttainingSet:
     """The discrete scan over {0, 1}, members as patterns in counter order.
 
     Over {0, 1} the value digits are the bits of the pattern counter, so each
-    attaining counter decodes straight to its pattern.
+    attaining counter decodes straight to its pattern, and both scans share
+    one determinant array through the cache.
     """
-    least, hits = _least_counters(spec, (Fraction(0), Fraction(1)))
-    return _attaining(spec, least, hits, None)
+    return replace(_discrete_scan(spec, ValueSet.discrete([0, 1])), values=None)
+
+
+def _row_choices(spec: TypeSpec, values, fixed):
+    """Per row of ``spec.fields``: the entry tuples of its k^w assignments,
+    lowest digit first, ``fixed`` in fixed cells, and each tuple's number of
+    nonzero variable entries."""
+    for runs in spec.fields:
+        cols = [c for _, width, start in runs for c in range(start, start + width)]
+        row, entries, nonzeros = [fixed] * spec.n, [], []
+        # product() turns its last factor fastest, so that factor is digit 0
+        for combo in itertools.product(values, repeat=len(cols)):
+            for c, v in zip(cols, reversed(combo)):
+                row[c] = v
+            entries.append(tuple(row))
+            nonzeros.append(len(cols) - combo.count(0))
+        yield entries, nonzeros
+
+
+def _determinants(spec: TypeSpec, scaled, scale: int) -> tuple[list[int], list[int]]:
+    """Every assignment's determinant by counter (fixed cells hold ``scale``),
+    and its number of nonzero variable entries.  Cofactor expansion row by
+    row: ``minors[s]`` lists the minor of rows 0..i on columns s for every
+    assignment of those rows, which take the lower digits; row i's choice is
+    the outer index, so the nonzero counts are outer sums."""
+    minors, nonzeros = {(): [1]}, [0]
+    for i, (entries, counts) in enumerate(_row_choices(spec, scaled, scale)):
+        zeros, grown = [0] * len(nonzeros), {}
+        for s in itertools.combinations(range(spec.n), i + 1):
+            # term p is entry s[p] times the signed minor off column s[p]: one
+            # product list per value of that cell serves every choice of row i
+            products = [
+                {
+                    v: list(map(((-1) ** (i + p) * v).__mul__, minors[s[:p] + s[p + 1 :]]))
+                    for v in {entry[c] for entry in entries} - {0}
+                }
+                for p, c in enumerate(s)
+            ]
+            block = []
+            for entry in entries:
+                terms = [products[p][entry[c]] for p, c in enumerate(s) if entry[c]]
+                block += reduce(partial(map, operator.add), terms) if terms else zeros
+            grown[s] = block
+        minors = grown
+        nonzeros = [low + high for high in counts for low in nonzeros]
+    return minors[tuple(range(spec.n))], nonzeros
 
 
 @dataclass(frozen=True)
@@ -335,8 +320,8 @@ def complement_identity_check() -> ComplementReport:
         cnt_poly = cnt_poly + r**i * one_minus_r ** (spec.m - i)
 
     dis_poly = Polynomial.zero()
-    for bits in np.flatnonzero(_determinants(spec, [0, 1], 1, np.int64) == 0).tolist():
-        i = bits.bit_count()
+    dets, nonzeros = _determinants(spec, [0, 1], 1)
+    for i in itertools.compress(nonzeros, map((0).__eq__, dets)):
         dis_poly = dis_poly + r**i * one_minus_r ** (spec.m - i)
 
     total = cnt_poly + dis_poly

@@ -349,6 +349,13 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 3
 
+    def test_acyclic_suite_reaches_n5(self, capsys):
+        # three planes over 2^20 counters, not a permanent per matrix
+        code, out, _ = run(capsys, "verify", "acyclic", "--n", "5")
+        assert code == 0
+        assert out.count("PASS") == 5
+        assert out.splitlines()[-1].endswith("1048576 matrices")
+
     def test_acyclic_suite_reads_the_batched_predicate(self, capsys, monkeypatch):
         real = enumeration.pertinent_bits
 
@@ -371,6 +378,23 @@ class TestVerify:
 
         # the suite checks the census's kernel as well as the enumeration's
         monkeypatch.setattr(dags, "acyclic_bits", flipped)
+        code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
+        assert code == 1
+        assert "FAIL  permanent-1 vs acyclic n=3" in out
+
+    def test_acyclic_suite_reads_the_permanent_plane(self, capsys, monkeypatch):
+        real = enumeration._block_permanents
+
+        def flipped(cover, full, n):
+            perms = real(cover, full, n)
+            if len(cover) == n:  # all n rows, not a half of the row split
+                # the last counter (all ones, permanent >= 2) now reads 1
+                one, two = perms[(1 << n) - 1]
+                perms[(1 << n) - 1] = one, two ^ (full + 1) >> 1
+            return perms
+
+        # the third plane is the permanent itself, with no row split
+        monkeypatch.setattr(enumeration, "_block_permanents", flipped)
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 1
         assert "FAIL  permanent-1 vs acyclic n=3" in out

@@ -1,11 +1,10 @@
 """Cold-start guards: what a fresh interpreter loads for each entry point.
 
-Only ``valuesets`` imports numpy, and the package loads its submodules on
-first access, so importing the CLI, drawing curves, ``count`` on every
-route, ``least`` over an interval and the ``verify`` suites that count
-(tables, routes, oeis, acyclic) never load numpy; ``least`` over a discrete
-set does.  Every check runs in a new interpreter: this test session
-imported numpy long ago.
+No module of the package imports numpy, so no CLI command (``count`` on
+every route, ``curve``, ``least`` over an interval or a discrete set, every
+``verify`` suite) and no public export loads it; the package loads its
+submodules on first access.  Every check runs in a new interpreter: this
+test session imported numpy long ago.
 """
 
 import os
@@ -18,13 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_fresh(code: str, **env_vars) -> list[str]:
-    """Run ``code`` in a new interpreter; ``env_vars`` set (str) or unset (None)."""
+def run_fresh(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter; its stdout lines."""
     env = dict(os.environ)
-    for name, value in env_vars.items():
-        env.pop(name, None)
-        if value is not None:
-            env[name] = value
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     result = subprocess.run(
@@ -66,22 +61,36 @@ MAIN = "from leastchange.cli import main\n"
         # exit 1: the pinned one-digit misprint of the published A5 total
         MAIN + "assert main(['verify', 'oeis']) == 1",
         MAIN + "assert main(['verify', 'acyclic']) == 0",
+        MAIN + "assert main(['least', '--family', 'C', '--n', '4', '--values', '0,1']) == 0",
+        MAIN + "assert main(['least', '--family', 'A', '--n', '3', '--values', '0,1/2,1,2']) == 0",
+        MAIN + "assert main(['verify', 'witnesses']) == 0",
+        MAIN + "assert main(['verify', 'inclusion']) == 0",
+        MAIN + "assert main(['verify', 'complement']) == 0",
+        # exit 1: the oeis suite's pinned misprint
+        MAIN + "assert main(['verify', 'all']) == 1",
+        "import leastchange as lc\n"
+        "spec, zero_one = lc.TypeSpec('C', 3), lc.ValueSet.discrete([0, 1])\n"
+        "assert lc.least_determinant(spec, zero_one) == 0\n"
+        "assert len(lc.attaining_matrices(spec, zero_one).members) > 0\n"
+        "lc.check_inclusion('A', 2, zero_one, lc.ValueSet.continuous(0, 1))\n"
+        "assert lc.counterexample_report().ok",
+        "import leastchange\nfor name in leastchange.__all__:\n    getattr(leastchange, name)",
     ],
     ids=[
         "import-cli", "curve", "count-gf", "count-all-past-census", "count-gf-a", "routes-cap",
         "least-interval-C4", "least-interval-B4", "count-enumeration-A5", "count-all-C5",
         "count-dag-C6", "verify-tables", "verify-routes", "verify-oeis", "verify-acyclic",
+        "least-discrete-C4", "least-discrete-A3", "verify-witnesses", "verify-inclusion",
+        "verify-complement", "verify-all", "library-value-sets", "every-export",
     ],
 )
 def test_numpy_is_not_loaded(code):
     assert not numpy_loaded_after(code)
 
 
-def test_discrete_least_loads_numpy():
-    # a discrete set is scanned by the determinant array, unlike an interval;
-    # the probe itself can see numpy, so the guards above can fail
-    code = MAIN + "assert main(['least', '--family', 'C', '--n', '3', '--values', '0,1']) == 0"
-    assert numpy_loaded_after(code)
+def test_probe_sees_numpy():
+    # the probe reports numpy once it is imported, so the guards above can fail
+    assert numpy_loaded_after("import numpy")
 
 
 def test_every_export_resolves():
@@ -125,28 +134,3 @@ def test_c_count_does_not_load_the_census():
         "print('leastchange.dags' in sys.modules)"
     )
     assert lines[-1] == "False"
-
-
-THREADS = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
-# a discrete ``least`` starts numpy
-LEAST_01 = MAIN + "assert main(['least', '--family', 'C', '--n', '3', '--values', '0,1']) == 0\n"
-
-
-def test_cli_starts_numpy_with_one_blas_thread():
-    # no routine calls BLAS, so the CLI does not start OpenBLAS's thread pool
-    assert run_fresh(LEAST_01 + THREADS, OPENBLAS_NUM_THREADS=None)[-1] == "1"
-
-
-def test_cli_keeps_the_users_blas_threads():
-    assert run_fresh(LEAST_01 + THREADS, OPENBLAS_NUM_THREADS="3")[-1] == "3"
-
-
-def test_library_leaves_blas_threads_alone():
-    code = (
-        "import leastchange\n"
-        "spec, values = leastchange.TypeSpec('C', 3), leastchange.ValueSet.discrete([0, 1])\n"
-        "leastchange.least_determinant(spec, values)\n"
-        "import sys\n"
-        "assert 'numpy' in sys.modules\n" + THREADS
-    )
-    assert run_fresh(code, OPENBLAS_NUM_THREADS=None)[-1] == "None"

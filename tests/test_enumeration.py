@@ -23,7 +23,7 @@ from leastchange import (
     permanent_expansion,
     total_pertinent,
 )
-from leastchange.enumeration import _split_counts, pertinent_bits
+from leastchange.enumeration import _block_permanents, _planes, _split_counts, pertinent_bits
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
 
@@ -268,6 +268,20 @@ class TestRowSplitLookup:
         for bits in range(1 << spec.m):
             expected = permanent_expansion(spec.matrix_from_bits(bits)) == spec.target_permanent
             assert (plane >> bits & 1) == expected
+
+    @pytest.mark.parametrize("family", "ABC")
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_block_permanents_of_all_rows_clip_the_permanent(self, family, n):
+        # with no row split, the planes on all n columns are perm >= 1 and >= 2
+        spec = TypeSpec(family, n)
+        full = (1 << (1 << spec.m)) - 1
+        cover = [[full if spec.fixed_rows[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
+        for (i, j), plane in zip(spec.variable_positions, _planes(spec.m)[0]):
+            cover[i - 1][j - 1] = plane
+        one, two = _block_permanents(cover, full, n)[(1 << n) - 1]
+        for bits in range(1 << spec.m):
+            perm = permanent_expansion(spec.matrix_from_bits(bits))
+            assert (one >> bits & 1, two >> bits & 1) == (perm >= 1, perm >= 2)
 
 
 class TestIndependentRecount:

@@ -316,7 +316,7 @@ class TestDeterminantArray:
                 (0, HALF, 1, 2),
                 (0, 1, 2),
                 (0, HALF, Fraction(7, 2)),  # C2: both signs of 3/4 attain
-                (0, 1, 10**20),  # too wide for int64: the object array
+                (0, 1, 10**20),
             ),
         ),
         ("B", 4, (0, 1)),
@@ -400,7 +400,7 @@ class TestPatternScan:
 
         determinants = valuesets._determinants
         monkeypatch.setattr(valuesets, "_determinants", counting)
-        for scan in (valuesets._attaining_bits, _discrete_scan, _pattern_scan):
+        for scan in (_discrete_scan, _pattern_scan):
             scan.cache_clear()
         spec = TypeSpec("C", 3)
         attaining_matrices(spec, self.ZERO_ONE)
