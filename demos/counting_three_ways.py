@@ -20,8 +20,8 @@ from leastchange import (
 
 # ---------------------------------------------------------------------------
 # Route 1: exhaustive enumeration.  Every assignment of the variable cells is
-# an integer counter; a Laplace split of the rows into two halves, whose block
-# permanents one subset DP tabulates, replaces the permanent for every family.
+# an integer counter; a DP over the rows, whose states are the block
+# permanents clipped at 2, replaces the permanent for every family.
 # ---------------------------------------------------------------------------
 for family in "ABC":
     spec = TypeSpec(family, 4)

@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # submodule -> the names it exports
 _EXPORTED_BY = {
     "dags": "Digraph count_dags_by_edges digraph_to_matrix is_acyclic matrix_to_digraph",
-    "enumeration": "count_pertinent has_perfect_matching total_pertinent",
+    "enumeration": "count_pertinent has_perfect_matching",
     "errors": "BudgetError DimensionError PatternError",
     "genfunc": "Polynomial WeightedSeries edge_polynomial gf_deficiency_table gf_edge_table "
     "gf_reachability_table one_plus_t_power reciprocal z_series_neg",

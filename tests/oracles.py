@@ -161,7 +161,7 @@ def hall_violated(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def scan_mask(spec, counters: np.ndarray) -> np.ndarray:
-    """Pertinence of each counter, decided without the row split.
+    """Pertinence of each counter, decided without the permanent.
 
     Families A and B (permanent 0) take the full Hall sweep over all n rows;
     family C (permanent 1) takes the DAG census's source peel of the digraph

@@ -37,7 +37,6 @@ from leastchange import (
     least_determinant_binary,
     matrix_to_digraph,
     permanent_expansion,
-    total_pertinent,
 )
 from leastchange.enumeration import _table_cache
 from leastchange.reference import PUBLISHED_TOTALS, REFERENCE_COUNTS
@@ -109,13 +108,13 @@ def test_criterion_03_worked_example():
 
 def test_criterion_04_sequence_totals():
     with criterion(4, "published sequence totals (known A n=5 inconsistency)"):
-        totals_c = tuple(total_pertinent(TypeSpec("C", n)) for n in range(1, 6))
+        totals_c = tuple(count_pertinent(TypeSpec("C", n)).total for n in range(1, 6))
         assert totals_c == PUBLISHED_TOTALS["C"]
 
         for n in range(1, 6):  # family B: self-consistency only, no published total
-            assert total_pertinent(TypeSpec("B", n)) == sum(REFERENCE_COUNTS["B"][n])
+            assert count_pertinent(TypeSpec("B", n)).total == sum(REFERENCE_COUNTS["B"][n])
 
-        totals_a = tuple(total_pertinent(TypeSpec("A", n)) for n in range(1, 6))
+        totals_a = tuple(count_pertinent(TypeSpec("A", n)).total for n in range(1, 6))
         assert totals_a[:4] == PUBLISHED_TOTALS["A"][:4]
 
         row_sum = sum(REFERENCE_COUNTS["A"][5])

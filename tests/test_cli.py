@@ -350,7 +350,7 @@ class TestVerify:
         assert out.count("PASS") == 3
 
     def test_acyclic_suite_reaches_n5(self, capsys):
-        # three planes over 2^20 counters, not a permanent per matrix
+        # two planes over 2^20 counters, not a permanent per matrix
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "5")
         assert code == 0
         assert out.count("PASS") == 5
@@ -387,13 +387,12 @@ class TestVerify:
 
         def flipped(cover, full, n):
             perms = real(cover, full, n)
-            if len(cover) == n:  # all n rows, not a half of the row split
-                # the last counter (all ones, permanent >= 2) now reads 1
-                one, two = perms[(1 << n) - 1]
-                perms[(1 << n) - 1] = one, two ^ (full + 1) >> 1
+            # the last counter (all ones, permanent >= 2) now reads 1
+            one, two = perms[(1 << n) - 1]
+            perms[(1 << n) - 1] = one, two ^ (full + 1) >> 1
             return perms
 
-        # the third plane is the permanent itself, with no row split
+        # the batched predicate is the permanent of all n rows, read from here
         monkeypatch.setattr(enumeration, "_block_permanents", flipped)
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 1

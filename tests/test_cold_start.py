@@ -126,7 +126,7 @@ def test_dir_lists_the_exports():
 
 
 def test_c_count_does_not_load_the_census():
-    # family C is counted by the row split, which shares no kernel with dags
+    # family C is counted by the row DP, which shares no kernel with dags
     lines = run_fresh(
         "import sys\n"
         "import leastchange\n"

@@ -21,9 +21,9 @@ from leastchange import (
     count_pertinent,
     has_perfect_matching,
     permanent_expansion,
-    total_pertinent,
 )
-from leastchange.enumeration import _block_permanents, _planes, _split_counts, pertinent_bits
+from leastchange.enumeration import _block_permanents, _planes, _row_counts, pertinent_bits
+from leastchange.genfunc import series_table
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
 
@@ -94,13 +94,13 @@ class TestCountPertinent:
             count_pertinent(TypeSpec("A", 6))
 
     def test_totals(self):
-        assert [total_pertinent(TypeSpec("A", n)) for n in range(1, 5)] == [
+        assert [count_pertinent(TypeSpec("A", n)).total for n in range(1, 5)] == [
             1, 9, 265, 27713,
         ]
-        assert [total_pertinent(TypeSpec("C", n)) for n in range(1, 6)] == [
+        assert [count_pertinent(TypeSpec("C", n)).total for n in range(1, 6)] == [
             1, 3, 25, 543, 29281,
         ]
-        assert total_pertinent(TypeSpec("B", 4)) == 1200
+        assert count_pertinent(TypeSpec("B", 4)).total == 1200
 
     def test_b_totals_self_consistent(self):
         # no published reference for family B; totals must equal the row sums
@@ -113,13 +113,24 @@ class TestCountPertinent:
 
 
 class TestSplitCount:
+    """The row DP against counts from elsewhere: the per-counter scan and
+    the series."""
+
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("family", "ABC")
     def test_split_equals_scan(self, family, n):
         # the batched per-counter scan (Hall sweep, or peel for C) is the
-        # oracle of the half-tally count
+        # oracle of the row DP's merged states
         spec = TypeSpec(family, n)
-        assert _split_counts(spec) == scan_counts(spec).tolist()
+        assert _row_counts(spec) == scan_counts(spec).tolist()
+
+    @pytest.mark.parametrize("family", "ABC")
+    def test_row_dp_equals_series_at_n6(self, family):
+        # beyond count_pertinent's reach: the DP itself, term for term
+        spec = TypeSpec(family, 6)
+        counts = _row_counts(spec)
+        assert tuple(counts[: spec.i_max + 1]) == series_table(spec).coeffs
+        assert not any(counts[spec.i_max + 1 :])
 
 
 def _row_major_rows(spec, bits):
@@ -220,11 +231,14 @@ class TestOneLayout:
 
 
 class TestRowSplitLookup:
+    """The pertinence plane, the permanent of all n rows over every counter,
+    against the per-counter scan and the definitional permanent."""
+
     @pytest.mark.parametrize("family", "ABC")
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_full_sweep_exhaustively(self, family, n):
         # the oracle is the Hall sweep over all n rows for A and B, the
-        # source peel for C; at n = 1 the bottom block is 0x0 (permanent 1)
+        # source peel for C
         spec = TypeSpec(family, n)
         counters = np.arange(1 << spec.m, dtype=np.uint32)
         assert np.array_equal(pertinence(spec), scan_mask(spec, counters))
@@ -272,11 +286,11 @@ class TestRowSplitLookup:
     @pytest.mark.parametrize("family", "ABC")
     @pytest.mark.parametrize("n", range(1, 4))
     def test_block_permanents_of_all_rows_clip_the_permanent(self, family, n):
-        # with no row split, the planes on all n columns are perm >= 1 and >= 2
+        # the planes on all n columns are perm >= 1 and >= 2
         spec = TypeSpec(family, n)
         full = (1 << (1 << spec.m)) - 1
         cover = [[full if spec.fixed_rows[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
-        for (i, j), plane in zip(spec.variable_positions, _planes(spec.m)[0]):
+        for (i, j), plane in zip(spec.variable_positions, _planes(spec.m)):
             cover[i - 1][j - 1] = plane
         one, two = _block_permanents(cover, full, n)[(1 << n) - 1]
         for bits in range(1 << spec.m):
