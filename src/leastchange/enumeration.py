@@ -8,18 +8,16 @@ AND, OR or shift acts on all of them, with no array library.
 Laplace expansion along the last row gives perm(M[rows <= i, S]) = sum over
 the covered j of S of perm(M[rows < i, S - {j}]) (Minc, *Permanents*, 1978),
 non-negative terms for a 0/1 matrix, so two planes clipped at 2 (>= 1 and
->= 2) decide perm(M) = 0 (A, B) and perm(M) = 1 (C).  ``_row_counts`` runs
-this recursion as a transfer matrix (Stanley, *EC I*, section 4.7): its
-states are the planes over the column masks, and equal states merge, so the
-table never visits a counter.  ``pertinent_bits`` runs the same recursion on
-the 2^m counters at once, its planes indexed by counter and kept per mask.
-The tests hold the count to a full Hall sweep (A, B), the source peel (C) and
-the series at n = 6.
+>= 2) decide perm(M) = 0 (A, B) and perm(M) = 1 (C).  ``_row_dp`` runs this
+recursion as a transfer matrix (Stanley, *EC I*, section 4.7) whose states
+are the planes over the column masks; equal states merge, so it never visits
+a counter.  Its two callers differ only in where a row's choice moves a
+tally: by number of ones for the table, by counter bits for the plane of
+all 2^m counters.  The tests hold both to a full Hall sweep (A, B), the
+source peel (C), and the table to the series at n = 6.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import DimensionError
 from .matrices import BinaryMatrix, TypeSpec
@@ -53,22 +51,45 @@ def count_pertinent(spec: TypeSpec) -> CoefficientTable:
 
 
 def _row_counts(spec: TypeSpec) -> list[int]:
-    """Histogram over 0..m ones of the pertinent counters, one row at a time.
+    """Histogram over 0..m ones of the pertinent counters: choice s of a row
+    moves a tally up popcount(s) slots of m + 1 bits (no count is negative
+    or reaches 2^(m+1))."""
+    width = spec.m + 1
+    rows = spec.variable_rows
+    offsets = [[s.bit_count() * width for s in range(1 << free.bit_count())] for free in rows]
+    packed = _row_dp(spec, offsets)
+    return [packed >> i * width & (1 << width) - 1 for i in range(width)]
+
+
+def pertinent_bits(spec: TypeSpec) -> int:
+    """The plane of the pertinent counters among all 2^m: choice s of a row
+    moves a tally up to the row's counter bits, so bit c is counter c."""
+    offsets, before = [], 0
+    for free in spec.variable_rows:
+        offsets.append([s << before for s in range(1 << free.bit_count())])
+        before += free.bit_count()
+    return _row_dp(spec, offsets)
+
+
+def _row_dp(spec: TypeSpec, offsets: list[list[int]]) -> int:
+    """Sum of the tallies of the states whose permanent is the target, where
+    choice s of row i moves a state's tally up ``offsets[i][s]`` bits.
 
     A state is the pair of planes (>= 1, >= 2) of the permanent of the rows
     so far on every column mask.  A row covering column j adds the permanents
     on S - {j} to S, a shift of the masks without j by 2^j; its 2^w choices
     of variable cells grow from its fixed cells one lowest bit at a time.
-    Equal states merge, and each keeps a tally that packs its counts by ones
-    into slots of m + 1 bits: no count is negative or reaches 2^(m+1).  A and
-    B (target 0) carry only the >= 1 plane."""
-    n, width = spec.n, spec.m + 1
-    keep = -1 if spec.target_permanent else 0
+    Equal states merge, summing their tallies.  A and B (target 0) carry
+    only the >= 1 plane."""
+    n, target = spec.n, spec.target_permanent
+    keep = -1 if target else 0
     without = [sum(1 << s for s in range(1 << n) if not s >> j & 1) for j in range(n)]
     states = {(1, 0): 1}  # no rows yet: the 0x0 block, permanent 1
-    for fixed, free in zip(spec.fixed_rows, spec.variable_rows):
+    for fixed, free, shifts in zip(spec.fixed_rows, spec.variable_rows, offsets):
         cols = [j for j in range(n) if free >> j & 1]
-        grown: dict[tuple[int, int], int] = {}
+        # tallies bound for one state at one offset are summed before the
+        # shift: one shift per pair, not per choice of every earlier state
+        sums: dict[tuple[tuple[int, int], int], int] = {}
         for (one, two), tally in states.items():
             steps = [((one & w) << (1 << j), (two & w) << (1 << j)) for j, w in enumerate(without)]
             a = b = 0
@@ -83,46 +104,14 @@ def _row_counts(spec: TypeSpec) -> list[int]:
                 low = s & -s
                 (a, b), (c, d) = choices[s ^ low], steps[cols[low.bit_length() - 1]]
                 choices.append((a | c, (b | d | a & c) & keep))
-            for s, key in enumerate(choices):
-                grown[key] = grown.get(key, 0) + (tally << s.bit_count() * width)
-        states = grown
+            for slot in zip(choices, shifts):
+                sums[slot] = sums.get(slot, 0) + tally
+        states = {}
+        for (key, shift), tally in sums.items():
+            states[key] = states.get(key, 0) + (tally << shift)
     # after n rows only the full mask is left: (one > 0) + (two > 0) is its
     # permanent, clipped at 2
-    target = spec.target_permanent
-    packed = sum(t for (one, two), t in states.items() if (one > 0) + (two > 0) == target)
-    return [packed >> i * width & (1 << width) - 1 for i in range(width)]
-
-
-def pertinent_bits(spec: TypeSpec) -> int:
-    """The plane of the pertinent counters among all 2^m: the permanent of
-    all n rows on the counter planes, clipped at 2."""
-    n, full = spec.n, (1 << (1 << spec.m)) - 1
-    cover = [[full if spec.fixed_rows[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
-    for (i, j), plane in zip(spec.variable_positions, _planes(spec.m)):
-        cover[i - 1][j - 1] = plane
-    one, two = _block_permanents(cover, full, n)[(1 << n) - 1]
-    return one & ~two if spec.target_permanent else full & ~one
-
-
-def _block_permanents(cover: list[list[int]], full: int, n: int) -> dict[int, tuple[int, int]]:
-    """Planes (>= 1, >= 2) of the permanent of the k rows on each k-column
-    mask, where ``cover[i][j]`` is the plane of the counters whose row i
-    covers column j.  Adding row i, the permanent on S sums the earlier rows'
-    on S - {j} over the covered j of S: a bit-sliced add saturating at 2, as
-    no term is negative."""
-    perms = {0: (full, 0)}
-    for i, row in enumerate(cover):
-        grown = {}
-        for cols in itertools.combinations(range(n), i + 1):
-            mask = sum(1 << j for j in cols)
-            one = two = 0
-            for j in cols:
-                a, b = perms[mask ^ (1 << j)]
-                a, b = a & row[j], b & row[j]
-                one, two = one | a, two | b | one & a
-            grown[mask] = (one, two)
-        perms = grown
-    return perms
+    return sum(t for (one, two), t in states.items() if (one > 0) + (two > 0) == target)
 
 
 def _planes(bits: int) -> list[int]:

@@ -13,6 +13,7 @@ from leastchange import (
     enumeration,
     least_determinant,
     least_determinant_binary,
+    tables,
 )
 from leastchange.cli import main
 from leastchange.genfunc import series_table
@@ -383,17 +384,14 @@ class TestVerify:
         assert "FAIL  permanent-1 vs acyclic n=3" in out
 
     def test_acyclic_suite_reads_the_permanent_plane(self, capsys, monkeypatch):
-        real = enumeration._block_permanents
+        real = enumeration._row_dp
 
-        def flipped(cover, full, n):
-            perms = real(cover, full, n)
-            # the last counter (all ones, permanent >= 2) now reads 1
-            one, two = perms[(1 << n) - 1]
-            perms[(1 << n) - 1] = one, two ^ (full + 1) >> 1
-            return perms
+        def flipped(spec, offsets):
+            # the all-ones counter, permanent >= 2, now reads pertinent
+            return real(spec, offsets) ^ 1 << (1 << spec.m) - 1
 
-        # the batched predicate is the permanent of all n rows, read from here
-        monkeypatch.setattr(enumeration, "_block_permanents", flipped)
+        # the plane comes from the row DP that also counts the tables
+        monkeypatch.setattr(enumeration, "_row_dp", flipped)
         code, out, _ = run(capsys, "verify", "acyclic", "--n", "3")
         assert code == 1
         assert "FAIL  permanent-1 vs acyclic n=3" in out
@@ -425,6 +423,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "n <= 5" in err
+
+    def test_acyclic_bound_is_not_the_counting_reach(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setitem(tables.ROUTE_MAX_N, tables.ROUTE_ENUMERATION, 6)
+        monkeypatch.setattr(enumeration, "_planes", lambda bits: built.append(bits))
+        code, out, err = run(capsys, "verify", "acyclic", "--n", "6")
+        assert code == 2
+        assert out == ""
+        assert "n <= 5" in err
+        assert built == []
 
     @pytest.mark.parametrize("suite", ["routes", "acyclic"])
     @pytest.mark.parametrize("n", ["0", "-1"])

@@ -22,7 +22,7 @@ from leastchange import (
     has_perfect_matching,
     permanent_expansion,
 )
-from leastchange.enumeration import _block_permanents, _planes, _row_counts, pertinent_bits
+from leastchange.enumeration import _row_counts, pertinent_bits
 from leastchange.genfunc import series_table
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
@@ -282,20 +282,6 @@ class TestRowSplitLookup:
         for bits in range(1 << spec.m):
             expected = permanent_expansion(spec.matrix_from_bits(bits)) == spec.target_permanent
             assert (plane >> bits & 1) == expected
-
-    @pytest.mark.parametrize("family", "ABC")
-    @pytest.mark.parametrize("n", range(1, 4))
-    def test_block_permanents_of_all_rows_clip_the_permanent(self, family, n):
-        # the planes on all n columns are perm >= 1 and >= 2
-        spec = TypeSpec(family, n)
-        full = (1 << (1 << spec.m)) - 1
-        cover = [[full if spec.fixed_rows[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
-        for (i, j), plane in zip(spec.variable_positions, _planes(spec.m)):
-            cover[i - 1][j - 1] = plane
-        one, two = _block_permanents(cover, full, n)[(1 << n) - 1]
-        for bits in range(1 << spec.m):
-            perm = permanent_expansion(spec.matrix_from_bits(bits))
-            assert (one >> bits & 1, two >> bits & 1) == (perm >= 1, perm >= 2)
 
 
 class TestIndependentRecount:
