@@ -11,18 +11,23 @@ from fractions import Fraction
 import numpy as np
 
 from leastchange import (
+    ROUTE_GENERATING_FUNCTION,
     AttainingSet,
     BinaryMatrix,
+    CoefficientTable,
     Polynomial,
     ProbabilityPolynomial,
     RationalMatrix,
+    TypeSpec,
     WeightedSeries,
+    genfunc,
     one_plus_t_power,
     permanent_expansion,
 )
 from leastchange.genfunc import _coerce
 from leastchange.matrices import det_int
 from leastchange.probability import ChainReport, CurveSample, _chain_holds
+from leastchange.tables import check_reach
 
 # --- matrices --------------------------------------------------------------
 
@@ -331,6 +336,100 @@ def z_series(order: int) -> WeightedSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     return WeightedSeries([Polynomial.one()] * (order + 1))
+
+
+def checked_deficiency_table(n: int) -> CoefficientTable:
+    """Family A by the Hall-deficiency split, solving every K(a, b) it can.
+
+    The split of ``genfunc.gf_deficiency_table`` over all pairs a, b <= n:
+    for a > b the sum must yield K(a, b) = 0 (all a rows meet at most b
+    columns), so this solve derives each of those zeros and raises unless it
+    is one, and multiplies by them in every later sum.  The power kernel is
+    read from ``genfunc`` when called, so a patch of it reaches this solve.
+    """
+    one_plus_t_power = genfunc.one_plus_t_power
+    check_reach(ROUTE_GENERATING_FUNCTION, n)
+    matched = {(0, b): Polynomial.one() for b in range(n + 1)}
+    surplus = dict(matched)
+
+    def rest(a, b, skip):
+        acc = Polynomial.zero()
+        for s in range(a + 1):
+            for tau in range(min(s, b) + 1):
+                if (s, tau) != skip:
+                    acc = acc + (
+                        math.comb(a, s) * math.comb(b, tau) * matched[tau, s]
+                        * surplus[a - s, b - tau] * one_plus_t_power((a - s) * tau)
+                    )
+        return one_plus_t_power(a * b) - acc
+
+    for level in range(1, 2 * n + 1):
+        pairs = [(a, level - a) for a in range(max(1, level - n), min(level, n) + 1)]
+        # a < b first, then a > b (which reads M(b, a)), then a = b
+        for a, b in sorted(pairs, key=lambda ab: (ab[0] >= ab[1], ab[0] == ab[1])):
+            if a < b:
+                surplus[a, b] = rest(a, b, (0, 0))
+                matched[a, b] = sum(
+                    (
+                        math.comb(a, s) * math.comb(b, s) * matched[s, s]
+                        * surplus[a - s, b - s] * one_plus_t_power((a - s) * s)
+                        for s in range(a + 1)
+                    ),
+                    Polynomial.zero(),
+                )
+            elif a > b:
+                surplus[a, b] = rest(a, b, (0, 0))
+                if not surplus[a, b].is_zero():
+                    raise RuntimeError(f"deficiency split leaves surplus at {a}x{b}")
+            else:
+                surplus[a, a] = Polynomial.zero()
+                matched[a, a] = rest(a, a, (a, a))
+    poly = one_plus_t_power(n * n) - matched[n, n]
+    return CoefficientTable.from_counts(
+        TypeSpec("A", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
+    )
+
+
+def a_end_coefficients(n: int) -> dict[int, int]:
+    """Proven entries E(i) of family A's table (all m = n^2 cells variable).
+
+    - E(i) = C(m, i) for i < n: fewer than n ones hold no permutation.
+    - E(n) = C(m, n) - n! for n >= 2: n ones have permanent 0 unless they
+      form one of the n! permutation matrices.
+    - E(top - 1), top = n^2 - n, counts the matrices with n + 1 zeros and
+      permanent 0.  By Frobenius-Koenig the zeros hold a p x q block with
+      p + q = n + 1.  For n >= 4 only a zero row or column fits, plus one
+      more zero: 2n * n(n - 1).  At n = 3 the nine 2 x 2 blocks add 9 to
+      the 36 of that count, for 45.
+    """
+    m = n * n
+    ends = {i: math.comb(m, i) for i in range(n)}
+    if n >= 2:
+        ends[n] = math.comb(m, n) - math.factorial(n)
+    if n == 3:
+        ends[m - n - 1] = 45
+    elif n >= 4:
+        ends[m - n - 1] = 2 * n * n * (n - 1)
+    return ends
+
+
+def b_end_coefficients(n: int) -> dict[int, int]:
+    """Proven entries E(i) of family B's table (x_11 variable, the rest of
+    the diagonal fixed at 1; m = n^2 - n + 1 variable cells).
+
+    The permanent is 0 exactly when x_11 = 0 and no cycle passes through
+    vertex 1 of the off-diagonal digraph.
+    - E(1) = m - 1 for n >= 2: one arc closes no cycle.
+    - E(2) = C(m - 1, 2) - (n - 1) for n >= 3: two arcs close a cycle
+      through 1 only as one of the n - 1 two-cycles 1 -> j -> 1.
+    """
+    m = n * n - n + 1
+    ends = {}
+    if n >= 2:
+        ends[1] = m - 1
+    if n >= 3:
+        ends[2] = math.comb(m - 1, 2) - (n - 1)
+    return ends
 
 
 # --- probability -----------------------------------------------------------

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    a_end_coefficients,
+    b_end_coefficients,
+    checked_deficiency_table,
     coefficient_at,
     coefficient_by_differentiation,
     derivative,
@@ -31,6 +34,7 @@ from leastchange import (
     reciprocal,
     z_series_neg,
 )
+from leastchange.enumeration import _row_counts
 from leastchange.reference import PUBLISHED_TOTALS, REFERENCE_COUNTS
 from leastchange.genfunc import series_table
 from leastchange.tables import ROUTE_GENERATING_FUNCTION, ROUTE_MAX_N, ROUTES, check_reach
@@ -319,7 +323,8 @@ class TestZeroPermanentSeries:
             assert tables[family].coeffs == count_pertinent(TypeSpec(family, n)).coeffs
 
     def test_surplus_self_check_raises(self, monkeypatch):
-        # a wrong (1+t)^0 breaks the identity K(a, b) = 0 for a > b at 2x1
+        # a wrong (1+t)^0 breaks the identity K(a, b) = 0 for a > b at 2x1,
+        # which the checked solve derives and the lean one skips
         real = genfunc.one_plus_t_power
 
         def broken(exponent):
@@ -327,13 +332,45 @@ class TestZeroPermanentSeries:
 
         monkeypatch.setattr(genfunc, "one_plus_t_power", broken)
         with pytest.raises(RuntimeError, match="surplus at 2x1"):
-            gf_deficiency_table(4)
+            checked_deficiency_table(4)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_lean_solve_equals_checked_solve(self, n):
+        assert gf_deficiency_table(n).coeffs == checked_deficiency_table(n).coeffs
 
     @pytest.mark.parametrize("family, series", ZERO_PERMANENT_SERIES)
     def test_dimension_guard(self, family, series):
         for n in (0, 25):
             with pytest.raises(DimensionError):
                 series(n)
+
+
+END_COEFFICIENTS = [("A", a_end_coefficients), ("B", b_end_coefficients)]
+
+
+def assert_ends(ends, counts):
+    assert {i: counts[i] for i in ends} == ends
+
+
+class TestEndCoefficients:
+    """A's and B's proven end coefficients against the counted rows and the series."""
+
+    @pytest.mark.parametrize("family, ends", END_COEFFICIENTS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_reference_rows(self, family, ends, n):
+        assert_ends(ends(n), REFERENCE_COUNTS[family][n])
+
+    @pytest.mark.parametrize("family, ends", END_COEFFICIENTS)
+    def test_row_dp_at_6(self, family, ends):
+        assert_ends(ends(6), _row_counts(TypeSpec(family, 6)))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_a_series(self, n):
+        assert_ends(a_end_coefficients(n), gf_deficiency_table(n).coeffs)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_b_series(self, n):
+        assert_ends(b_end_coefficients(n), gf_reachability_table(n).coeffs)
 
 
 class TestRouteMap:
