@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names it exports
 _EXPORTED_BY = {
-    "dags": "Digraph count_dags_by_edges digraph_to_matrix is_acyclic matrix_to_digraph",
+    "dags": "Digraph count_dags_by_edges is_acyclic",
     "enumeration": "count_pertinent has_perfect_matching",
     "errors": "BudgetError DimensionError PatternError",
     "genfunc": "Polynomial WeightedSeries edge_polynomial gf_deficiency_table gf_edge_table "

@@ -20,6 +20,8 @@ import json
 import sys
 from fractions import Fraction
 
+import leastchange
+
 from . import reference
 from .errors import BudgetError, DimensionError, PatternError
 from .genfunc import series_table
@@ -142,7 +144,7 @@ def cmd_least(args, parser) -> int:
     return 0
 
 
-def _value_set(text: str) -> ValueSet:
+def _value_set(text: str) -> leastchange.ValueSet:
     """A bracketed ``[lo:hi]`` is an interval; anything else a discrete literal."""
     from .values import ValueSet
 
@@ -291,7 +293,8 @@ def _suite_witnesses(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_inclusion(args) -> list[tuple[str, bool, str]]:
-    from .valuesets import ValueSet, check_inclusion
+    from .values import ValueSet
+    from .valuesets import check_inclusion
 
     dis = ValueSet.discrete([0, Fraction(1, 2), 2])
     cnt = ValueSet.continuous(0, 2)
@@ -377,8 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=(*_SUITES, "all"))
     p_verify.add_argument(
-        "--n", type=_positive_int, help="largest n for the routes suite (default 5, at most 6) "
-        f"and the acyclic suite (default 4, at most {ACYCLIC_MAX_N}); other suites ignore it"
+        "--n",
+        type=_positive_int,
+        help="largest n for the routes suite "
+        f"(default 5, at most {ROUTE_MAX_N[ROUTE_DAG_CENSUS]}) and the acyclic suite "
+        f"(default 4, at most {ACYCLIC_MAX_N}); other suites ignore it",
     )
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
 

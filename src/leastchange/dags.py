@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .matrices import BinaryMatrix, TypeSpec
+from .matrices import TypeSpec
 from .tables import ROUTE_DAG_CENSUS, CoefficientTable, check_reach
 
 LOW_DIGITS = 10  # pair digits per plane in the census
@@ -35,37 +35,6 @@ class Digraph:
                 raise ValueError(f"loop ({k}, {k}) not allowed")
             if not (1 <= k <= self.n and 1 <= l <= self.n):
                 raise ValueError(f"edge ({k}, {l}) outside vertex range 1..{self.n}")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Digraph":
-        return cls(n, frozenset((int(k), int(l)) for k, l in edges))
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def adjacency_rows(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for k, l in self.edges:
-            rows[k - 1] |= 1 << (l - 1)
-        return tuple(rows)
-
-
-def matrix_to_digraph(matrix: BinaryMatrix) -> Digraph:
-    """Digraph with adjacency M - I; requires a unit diagonal."""
-    n = matrix.n
-    TypeSpec("C", n).check_pattern(matrix)
-    edges = {
-        (i + 1, j + 1)
-        for i, row in enumerate(matrix.rows)
-        for j in range(n)
-        if j != i and (row >> j) & 1
-    }
-    return Digraph(n, frozenset(edges))
-
-
-def digraph_to_matrix(digraph: Digraph) -> BinaryMatrix:
-    rows = tuple(r | (1 << i) for i, r in enumerate(digraph.adjacency_rows()))
-    return BinaryMatrix(digraph.n, rows)
 
 
 def is_acyclic(digraph: Digraph) -> bool:

@@ -64,17 +64,8 @@ class Polynomial:
     def variable(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def __getitem__(self, power: int):
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
-        return 0
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -82,12 +73,6 @@ class Polynomial:
         if isinstance(other, int):
             return self == Polynomial((other,))
         return NotImplemented
-
-    def __hash__(self):
-        # a constant equals its value, so it must hash like it
-        if len(self.coefficients) <= 1:
-            return hash(self[0])
-        return hash(self.coefficients)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -106,9 +91,6 @@ class Polynomial:
 
     def __sub__(self, other):
         return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         a, b = self.coefficients, _coerce(other).coefficients
@@ -134,27 +116,6 @@ class Polynomial:
             base = base * base
             e >>= 1
         return result
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Polynomial(0)"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{i}")
-        return "Polynomial(" + " + ".join(parts) + ")"
 
 
 def _kronecker_product(a, b) -> list[int]:
@@ -215,18 +176,6 @@ class WeightedSeries:
     def order(self) -> int:
         return len(self.terms) - 1
 
-    @classmethod
-    def unit(cls, order: int) -> "WeightedSeries":
-        return cls([Polynomial.one()] + [Polynomial.zero()] * order)
-
-    def __eq__(self, other):
-        if isinstance(other, WeightedSeries):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms)
-
     def __mul__(self, other: "WeightedSeries") -> "WeightedSeries":
         if not isinstance(other, WeightedSeries):
             return NotImplemented
@@ -234,9 +183,6 @@ class WeightedSeries:
         return WeightedSeries(
             [_convolve(self.terms, other.terms, n, 0) for n in range(order + 1)]
         )
-
-    def __repr__(self):
-        return f"WeightedSeries({list(self.terms)!r})"
 
 
 def z_series_neg(order: int) -> WeightedSeries:

@@ -58,14 +58,6 @@ class BinaryMatrix:
         return cls(n, tuple(masks))
 
     @classmethod
-    def zero(cls, n: int) -> "BinaryMatrix":
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
     def ones(cls, n: int) -> "BinaryMatrix":
         return cls(n, ((1 << n) - 1,) * n)
 
@@ -73,21 +65,11 @@ class BinaryMatrix:
         _check_index(self.n, i, j)
         return (self.rows[i - 1] >> (j - 1)) & 1
 
-    def one_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
 
     def to_rational(self) -> "RationalMatrix":
         return RationalMatrix.from_rows(self.to_lists())
-
-    def transpose(self) -> "BinaryMatrix":
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            for j in range(self.n):
-                cols[j] |= ((r >> j) & 1) << i
-        return BinaryMatrix(self.n, tuple(cols))
 
     def __str__(self):
         return "\n".join(" ".join(str(v) for v in row) for row in self.to_lists())
@@ -110,10 +92,6 @@ class RationalMatrix:
     def from_rows(cls, rows) -> "RationalMatrix":
         grid = tuple(tuple(Fraction(v) for v in row) for row in rows)
         return cls(len(grid), grid)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        _check_index(self.n, i, j)
-        return self.entries[i - 1][j - 1]
 
     def __str__(self):
         return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
@@ -194,10 +172,6 @@ class TypeSpec:
             for _, width, start in runs
             for col in range(start, start + width)
         )
-
-    @property
-    def variable_mask(self) -> BinaryMatrix:
-        return BinaryMatrix(self.n, self.variable_rows)
 
     @cached_property
     def m(self) -> int:

@@ -77,8 +77,8 @@ def family_tables(n: int) -> dict[str, CoefficientTable]:
 class CurveSample:
     """P_A, P_B and P_C at r as numerators a, b, c over one positive denominator.
 
-    Curves keep the Horner integers over q^(n^2) at r = p/q; ``p_a``,
-    ``p_b`` and ``p_c`` build the reduced Fractions only when read.
+    Curves keep the Horner integers over q^(n^2) at r = p/q, so P_A is
+    ``Fraction(a, denominator)``.
     """
 
     r: Fraction
@@ -86,18 +86,6 @@ class CurveSample:
     b: numbers.Rational
     c: numbers.Rational
     denominator: int = 1
-
-    @property
-    def p_a(self) -> Fraction:
-        return Fraction(self.a, self.denominator)
-
-    @property
-    def p_b(self) -> Fraction:
-        return Fraction(self.b, self.denominator)
-
-    @property
-    def p_c(self) -> Fraction:
-        return Fraction(self.c, self.denominator)
 
 
 CSV_HEADER = "r,P_A,P_B,P_C"

@@ -286,10 +286,6 @@ class CheckReport:
     name: str
     claims: tuple[Claim, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.claims)
-
 
 @dataclass(frozen=True)
 class ComplementReport:

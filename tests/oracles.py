@@ -15,6 +15,7 @@ from leastchange import (
     AttainingSet,
     BinaryMatrix,
     CoefficientTable,
+    Digraph,
     Polynomial,
     ProbabilityPolynomial,
     RationalMatrix,
@@ -30,6 +31,14 @@ from leastchange.probability import ChainReport, CurveSample, _chain_holds
 from leastchange.tables import check_reach
 
 # --- matrices --------------------------------------------------------------
+
+
+def zero_matrix(n: int) -> BinaryMatrix:
+    return BinaryMatrix(n, (0,) * n)
+
+
+def identity_matrix(n: int) -> BinaryMatrix:
+    return BinaryMatrix(n, tuple(1 << i for i in range(n)))
 
 
 def permanent_ryser(matrix: BinaryMatrix) -> int:
@@ -107,14 +116,21 @@ def delete_row_col(matrix, i: int, j: int):
     return RationalMatrix.from_rows(rows)
 
 
+def _entries(member):
+    """The rows of a binary or rational matrix as sequences of entries."""
+    return member.to_lists() if isinstance(member, BinaryMatrix) else member.entries
+
+
 def nonzero_cells(spec, member) -> int:
     """Nonzero variable elements of a family matrix, read cell by cell."""
-    return sum(member.entry(i, j) != 0 for i, j in spec.variable_positions)
+    rows = _entries(member)
+    return sum(rows[i - 1][j - 1] != 0 for i, j in spec.variable_positions)
 
 
 def assignment_counter(spec, values, member) -> int:
     """The counter of a member: digit k is the index of its k-th variable cell."""
-    digits = [values.index(member.entry(i, j)) for i, j in spec.variable_positions]
+    rows = _entries(member)
+    digits = [values.index(rows[i - 1][j - 1]) for i, j in spec.variable_positions]
     return sum(d * len(values) ** k for k, d in enumerate(digits))
 
 
@@ -190,6 +206,19 @@ def scan_counts(spec) -> np.ndarray:
 
 
 # --- dags ------------------------------------------------------------------
+
+
+def matrix_to_digraph(matrix: BinaryMatrix) -> Digraph:
+    """Digraph with adjacency M - I; requires a unit diagonal."""
+    n = matrix.n
+    TypeSpec("C", n).check_pattern(matrix)
+    edges = {
+        (i + 1, j + 1)
+        for i, row in enumerate(matrix.rows)
+        for j in range(n)
+        if j != i and (row >> j) & 1
+    }
+    return Digraph(n, frozenset(edges))
 
 
 def peel(adjacency: tuple[int, ...], n: int) -> bool:
@@ -314,6 +343,14 @@ def schoolbook_product(p: Polynomial, q) -> Polynomial:
     return Polynomial(out)
 
 
+def evaluate_polynomial(poly: Polynomial, x):
+    """The polynomial's value at x, by Horner."""
+    acc = 0
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    return acc
+
+
 def derivative(poly: Polynomial) -> Polynomial:
     return Polynomial(tuple(i * c for i, c in enumerate(poly.coefficients) if i))
 
@@ -322,13 +359,13 @@ def coefficient_by_differentiation(poly: Polynomial, power: int) -> Fraction:
     """Coefficient read the slow way: differentiate, evaluate at 0, divide."""
     for _ in range(power):
         poly = derivative(poly)
-    return Fraction(poly.evaluate(0), math.factorial(power))
+    return Fraction(evaluate_polynomial(poly, 0), math.factorial(power))
 
 
 def coefficient_at(series: WeightedSeries, n: int, t=0) -> Fraction:
     """Actual z^n series coefficient, weights unfolded, at a given t."""
-    weight = math.factorial(n) * one_plus_t_power(math.comb(n, 2)).evaluate(t)
-    return Fraction(series.terms[n].evaluate(t)) / weight
+    weight = math.factorial(n) * evaluate_polynomial(one_plus_t_power(math.comb(n, 2)), t)
+    return Fraction(evaluate_polynomial(series.terms[n], t)) / weight
 
 
 def z_series(order: int) -> WeightedSeries:

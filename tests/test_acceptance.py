@@ -14,6 +14,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from oracles import identity_matrix, matrix_to_digraph, zero_matrix
+
 from leastchange import (
     BinaryMatrix,
     ProbabilityPolynomial,
@@ -35,7 +37,6 @@ from leastchange import (
     is_acyclic,
     least_determinant,
     least_determinant_binary,
-    matrix_to_digraph,
     permanent_expansion,
 )
 from leastchange.enumeration import _table_cache
@@ -183,7 +184,8 @@ def test_criterion_08_figure_behavior():
         assert sink.getvalue().startswith("r,P_A,P_B,P_C\n")
 
         def chain(s):
-            return s.p_a > s.p_b > s.p_c and (s.p_a - s.p_b) > (s.p_b - s.p_c)
+            a, b, c = (Fraction(x, s.denominator) for x in (s.a, s.b, s.c))
+            return a > b > c and (a - b) > (b - c)
 
         assert all(chain(s) for s in samples if s.r >= Fraction(21, 100))
         assert any(not chain(s) for s in samples if s.r <= Fraction(15, 100))
@@ -212,7 +214,7 @@ def test_criterion_09_value_set_suite():
 
         # attaining support classes over the continuous set, with partition
         attaining_cnt = attaining_matrices(c2, x_cnt)
-        identity = BinaryMatrix.identity(2)
+        identity = identity_matrix(2)
         upper = BinaryMatrix.from_rows([[1, 1], [0, 1]])
         lower = BinaryMatrix.from_rows([[1, 0], [1, 1]])
         assert set(attaining_cnt.members) == {identity, upper, lower}
@@ -235,7 +237,7 @@ def test_criterion_09_value_set_suite():
 
         # the nine fully-random patterns, and the discrete extra member
         nine = {
-            BinaryMatrix.zero(2),
+            zero_matrix(2),
             BinaryMatrix.from_rows([[1, 0], [0, 0]]),
             BinaryMatrix.from_rows([[0, 1], [0, 0]]),
             BinaryMatrix.from_rows([[0, 0], [1, 0]]),
@@ -282,7 +284,7 @@ def test_criterion_10_series_extension_beyond_tables():
     with criterion(10, "n=6 series polynomial against an independent census"):
         poly = edge_polynomial(6)
         oracle = count_dags_by_edges(6)
-        assert poly.degree == 15
+        assert len(poly.coefficients) - 1 == 15
         assert poly.coefficients[-1] == 720
         assert sum(poly.coefficients) == oracle.total
         assert poly.coefficients == oracle.coeffs

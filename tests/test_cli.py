@@ -1,5 +1,6 @@
 import json
 import math
+import typing
 
 import pytest
 
@@ -8,6 +9,7 @@ from leastchange import (
     ValueSet,
     attaining_matrices,
     attaining_patterns,
+    cli,
     count_dags_by_edges,
     dags,
     enumeration,
@@ -284,6 +286,10 @@ class TestLeast:
         assert "least_det: 0" in out.splitlines()
         assert "attaining: 2" in out.splitlines()
 
+    def test_value_set_annotation_resolves(self):
+        hints = typing.get_type_hints(cli._value_set)
+        assert hints == {"text": str, "return": ValueSet}
+
     def test_bad_literal_is_usage_error(self, capsys):
         cases = [
             ("1,2", "must contain 0"),
@@ -441,6 +447,16 @@ class TestVerify:
             run(capsys, "verify", suite, "--n", n)
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    def test_n_help_reads_both_bounds(self, capsys, monkeypatch):
+        monkeypatch.setitem(tables.ROUTE_MAX_N, tables.ROUTE_DAG_CENSUS, 7)
+        monkeypatch.setattr(cli, "ACYCLIC_MAX_N", 3)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--help")
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "routes suite (default 5, at most 7)" in text
+        assert "acyclic suite (default 4, at most 3)" in text
 
     def test_workers_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -73,7 +73,7 @@ MAIN = "from leastchange.cli import main\n"
         "assert lc.least_determinant(spec, zero_one) == 0\n"
         "assert len(lc.attaining_matrices(spec, zero_one).members) > 0\n"
         "lc.check_inclusion('A', 2, zero_one, lc.ValueSet.continuous(0, 1))\n"
-        "assert lc.counterexample_report().ok",
+        "assert all(c.ok for c in lc.counterexample_report().claims)",
         "import leastchange\nfor name in leastchange.__all__:\n    getattr(leastchange, name)",
     ],
     ids=[
@@ -123,6 +123,16 @@ def test_dir_lists_the_exports():
         "    print('AttributeError')"
     )
     assert lines == ["[]", "AttributeError"]
+
+
+def test_count_does_not_load_value_sets():
+    lines = run_fresh(
+        "import sys\n"
+        "from leastchange.cli import main\n"
+        "assert main(['count', '--family', 'C', '--n', '4', '--route', 'all']) == 0\n"
+        "print('leastchange.values' in sys.modules)"
+    )
+    assert lines[-1] == "False"
 
 
 def test_c_count_does_not_load_the_census():

@@ -215,8 +215,8 @@ class TestEmitCurve:
         samples = emit_curve(3, Fraction(1, 100))
         assert len(samples) == 99
         for s in samples:
-            for v in (s.p_a, s.p_b, s.p_c):
-                assert 0 <= v <= 1
+            for v in (s.a, s.b, s.c):
+                assert 0 <= Fraction(v, s.denominator) <= 1
 
     def test_csv_format(self):
         sink = io.StringIO()
@@ -250,12 +250,12 @@ class TestEmitCurve:
         tables = {f: count_pertinent(TypeSpec(f, 5)) for f in "ABC"}
         first = emit_curve(5, Fraction(1, 100), tables=tables)[0]
         assert first.r == Fraction(1, 100)
-        for v in (first.p_a, first.p_b, first.p_c):
-            assert v > Fraction(98, 100)
+        for v in (first.a, first.b, first.c):
+            assert Fraction(v, first.denominator) > Fraction(98, 100)
 
 
 class TestCurveSamples:
-    """Samples keep integer numerators; their fields are evaluate's Fractions."""
+    """Samples keep integer numerators; over the denominator they are evaluate's Fractions."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_fields_are_the_evaluated_fractions(self, n):
@@ -265,13 +265,8 @@ class TestCurveSamples:
         for s in samples:
             assert s.denominator == s.r.denominator ** (n * n)
             assert all(type(x) is int for x in (s.a, s.b, s.c))
-            for value, p in zip((s.p_a, s.p_b, s.p_c), polys):
-                expected = p.evaluate(s.r)
-                assert type(value) is Fraction
-                assert (value.numerator, value.denominator) == (
-                    expected.numerator,
-                    expected.denominator,
-                )
+            for numerator, p in zip((s.a, s.b, s.c), polys):
+                assert Fraction(numerator, s.denominator) == p.evaluate(s.r)
 
     def test_default_tables_stop_at_n5(self):
         with pytest.raises(DimensionError):

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import assignment_counter, assignment_matrix, discrete_scan_loop, nonzero_cells
+from oracles import (
+    assignment_counter,
+    assignment_matrix,
+    discrete_scan_loop,
+    identity_matrix,
+    nonzero_cells,
+    zero_matrix,
+)
 
 import leastchange.valuesets as valuesets
 from leastchange import (
@@ -120,7 +127,7 @@ class TestLeastDeterminant:
             members = attaining_matrices(spec, xset).members
 
             def has_zero_line(m):
-                rows = [[m.entry(i, j) for j in (1, 2)] for i in (1, 2)]
+                rows = m.entries
                 return any(all(v == 0 for v in row) for row in rows) or any(
                     all(row[j] == 0 for row in rows) for j in (0, 1)
                 )
@@ -147,7 +154,7 @@ class TestAttainingSets:
         }
         part = attaining.partition()
         assert [len(part.get(i, ())) for i in (0, 1)] == [1, 2]
-        assert part[0] == (BinaryMatrix.identity(2),)
+        assert part[0] == (identity_matrix(2),)
 
     def test_c2_discrete_patterns(self):
         xset = ValueSet.discrete([0, HALF, 2])
@@ -172,7 +179,7 @@ class TestAttainingSets:
         # all nine have a zero row or a zero column
         for m in patterns.members:
             rows_zero = any(r == 0 for r in m.rows)
-            cols_zero = any(r == 0 for r in m.transpose().rows)
+            cols_zero = (m.rows[0] | m.rows[1]) != 0b11
             assert rows_zero or cols_zero
 
     @pytest.mark.parametrize("family", "ABC")
@@ -264,7 +271,7 @@ class TestCounts:
         candidates = {
             *map(spec.matrix_from_bits, range(1 << spec.m)),
             *(assignment_matrix(spec, xvalues, c) for c in range(len(xvalues) ** spec.m)),
-            BinaryMatrix.zero(n),  # a fixed cell of B and C is 0
+            zero_matrix(n),  # a fixed cell of B and C is 0
             BinaryMatrix.ones(n + 1),
             RationalMatrix.from_rows([[3] * n] * n),  # 3 is in no value set
             assignment_matrix(TypeSpec(family, n + 1), xvalues, 0),
@@ -479,5 +486,4 @@ class TestCounterexampleReport:
         report = counterexample_report()
         failures = [c for c in report.claims if not c.ok]
         assert not failures, failures
-        assert report.ok
         assert len(report.claims) >= 20
