@@ -38,9 +38,9 @@ for family in "ABC":
 print("\nDAG census by edges, n=4:", count_dags_by_edges(4).coeffs)
 
 # ---------------------------------------------------------------------------
-# Route 3: generating function.  In a weighted series basis the DAG-by-edges
-# polynomial is term n of the reciprocal of a simple alternating series, and
-# the whole computation stays in integer polynomial arithmetic.
+# Route 3: generating function.  Robinson's recurrence over the set of
+# sources builds the DAG-by-edges polynomial term by term in n, and the
+# whole computation stays in integer polynomial arithmetic.
 # ---------------------------------------------------------------------------
 print("series route, n=4:   ", gf_edge_table(4).coeffs)
 

@@ -360,11 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; has no effect, counting runs in one process",
     )
     p_count.add_argument("--out", default=None)
+    p_count.set_defaults(handler=cmd_count, parser=p_count)
 
     p_curve = sub.add_parser("curve", help="probability curves for all families")
     p_curve.add_argument("--n", required=True, type=int)
     p_curve.add_argument("--step", default="1/100", type=_grid_step)
     p_curve.add_argument("--out", default=None)
+    p_curve.set_defaults(handler=cmd_curve, parser=p_curve)
 
     p_least = sub.add_parser("least", help="least attainable |det| over a value set")
     p_least.add_argument("--family", required=True, choices=("A", "B", "C"))
@@ -376,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a set whose first entry is negative is written --values=-1,0,1",
     )
     p_least.add_argument("--format", default="text", choices=("json", "text"))
+    p_least.set_defaults(handler=cmd_least, parser=p_least)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=(*_SUITES, "all"))
@@ -387,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default 4, at most {ACYCLIC_MAX_N}); other suites ignore it",
     )
     p_verify.add_argument("--format", default="text", choices=("json", "text"))
+    p_verify.set_defaults(handler=cmd_verify, parser=p_verify)
 
     return parser
 
@@ -395,13 +399,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "count":
-            return cmd_count(args, parser)
-        if args.command == "curve":
-            return cmd_curve(args, parser)
-        if args.command == "least":
-            return cmd_least(args, parser)
-        return cmd_verify(args, parser)
+        # each handler reports usage errors through its own subcommand's parser
+        return args.handler(args, args.parser)
     except (DimensionError, BudgetError, PatternError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,20 @@
 """Generating-function routes to the coefficient tables of all three families.
 
-Everything lives in a weighted series basis: position n of a series stands
-for the z^n coefficient a_n(t) / (n! * (1+t)^C(n,2)).  In that basis the
-product rule is
+Each family's table is one term of an explicit recurrence in integer
+polynomials in t, where (1+t)^k counts the edge sets on k free cells by
+size.  Term k of each recurrence reads only terms below k, so each solve
+builds its terms up to n and reads the last; ``check_reach`` bounds n at 24.
 
-    c_n(t) = sum_j binom(n, j) * (1+t)^(j*(n-j)) * a_j(t) * b_(n-j)(t)
-
-which keeps every computation inside integer-coefficient polynomials; no
-rational function ever appears.  The polynomial whose t^e coefficient counts
-labeled DAGs with e edges on n vertices is term n of the reciprocal of the
-sign-alternating base series.  The reciprocal identity is inclusion-exclusion
-over candidate source sets: every acyclic digraph on one or more vertices has
-at least one source (a vertex with in-degree 0), so the signed sum over
-"these k vertices form an independent source set" telescopes, and inverting
-the alternating series is exactly that cancellation.
+- C (labeled DAGs by edges, Robinson, "Counting labeled acyclic digraphs",
+  1973): every DAG on one or more vertices has a source, so
+  inclusion-exclusion over the nonempty sets of j sources, which send edges
+  anywhere into the other k - j vertices, gives
+      R_k = sum_(j=1..k) (-1)^(j+1) C(k,j) (1+t)^(j(k-j)) R_(k-j),  R_0 = 1.
+- B (vertex 1 on no cycle): a split by the set of vertices that vertex 1
+  reaches, in the manner of Robinson's.
+- A (zero permanent): a Hall-deficiency split (Frobenius-Koenig; the
+  Dulmage-Mendelsohn decomposition in Lovasz & Plummer, *Matching Theory*).
+  The A totals are OEIS A088672.
 
 Polynomial products use Kronecker substitution (Kronecker 1882; Schoenhage,
 "Asymptotically fast algorithms for the numerical multiplication and
@@ -23,12 +24,6 @@ Python int, the two ints are multiplied once (CPython uses Karatsuba at
 these sizes), and the product's w-byte digits are its coefficients.  The
 width w is chosen from an exact bound on the product's coefficients, so the
 decoding never needs a check.
-
-Families A and B (permanent zero) have series routes of their own, both in
-the same integer polynomials: a reachability split for B (Robinson, "Counting
-labeled acyclic digraphs", 1973) and a Hall-deficiency split for A
-(Frobenius-Koenig; the Dulmage-Mendelsohn decomposition in Lovasz & Plummer,
-*Matching Theory*).  The A totals are OEIS A088672.
 """
 
 from __future__ import annotations
@@ -63,9 +58,6 @@ class Polynomial:
     @classmethod
     def variable(cls) -> "Polynomial":
         return cls((0, 1))
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -162,70 +154,18 @@ def one_plus_t_power(exponent: int) -> Polynomial:
     return Polynomial(tuple(math.comb(exponent, i) for i in range(exponent + 1)))
 
 
-class WeightedSeries:
-    """Truncated series in the weighted basis described in the module docs."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = tuple(_coerce(t) for t in terms)
-        if not self.terms:
-            raise ValueError("a series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.terms) - 1
-
-    def __mul__(self, other: "WeightedSeries") -> "WeightedSeries":
-        if not isinstance(other, WeightedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return WeightedSeries(
-            [_convolve(self.terms, other.terms, n, 0) for n in range(order + 1)]
-        )
-
-
-def z_series_neg(order: int) -> WeightedSeries:
-    """Base series with z negated: term n is (-1)^n."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return WeightedSeries([Polynomial(((-1) ** n,)) for n in range(order + 1)])
-
-
-def reciprocal(series: WeightedSeries) -> WeightedSeries:
-    """Multiplicative inverse under the weighted convolution.
-
-    Forward recurrence: R_0 = 1 and
-    R_n = -sum_(k=1..n) binom(n, k) * (1+t)^(k*(n-k)) * S_k * R_(n-k).
-    """
-    if series.terms[0] != Polynomial.one():
-        raise ValueError("series must have constant term 1 to be inverted")
-    out = [Polynomial.one()]
-    for n in range(1, series.order + 1):
-        out.append(-_convolve(series.terms, out, n, 1))
-    return WeightedSeries(out)
-
-
-def _convolve(a, b, n: int, start: int) -> Polynomial:
-    """sum_(j=start..n) binom(n, j) * (1+t)^(j*(n-j)) * a_j * b_(n-j)."""
-    acc = Polynomial.zero()
-    for j in range(start, n + 1):
-        if a[j].is_zero() or b[n - j].is_zero():
-            continue
-        acc = acc + math.comb(n, j) * one_plus_t_power(j * (n - j)) * a[j] * b[n - j]
-    return acc
-
-
 def edge_polynomial(n: int) -> Polynomial:
-    """Polynomial in t whose t^e coefficient counts labeled DAGs with e edges.
-
-    Term n of the reciprocal of the alternating base series; the weighted
-    basis already carries the n! * (1+t)^C(n,2) normalization, so the stored
-    term is the answer itself.  Truncating the series at order n suffices,
-    since term n of a reciprocal depends only on terms 0..n.
-    """
+    """Polynomial in t whose t^e coefficient counts labeled DAGs with e edges:
+    R_n of the source split in the module docs."""
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    return reciprocal(z_series_neg(n)).terms[n]
+    r = [Polynomial.one()]  # R_k: labeled DAGs on k vertices by edges
+    for k in range(1, n + 1):
+        acc = Polynomial.zero()
+        for j in range(1, k + 1):
+            term = math.comb(k, j) * one_plus_t_power(j * (k - j)) * r[k - j]
+            acc = acc + term if j % 2 else acc - term
+        r.append(acc)
+    return r[n]
 
 
 def gf_edge_table(n: int) -> CoefficientTable:
@@ -237,23 +177,36 @@ def gf_edge_table(n: int) -> CoefficientTable:
 
 
 def gf_reachability_table(n: int) -> CoefficientTable:
-    """Family-B coefficient table: term n-1 of e * reciprocal(d) * e.
+    """Family-B coefficient table by a split on the vertices vertex 1 reaches.
 
     With x_11 variable and the rest of the diagonal fixed at 1, the permanent
     is zero exactly when x_11 = 0 and vertex 1 lies on no cycle of the
     off-diagonal digraph, i.e. no vertex reachable from 1 has an arc into 1.
     Split by the set of the other j vertices that 1 reaches: arcs out of it
-    stay inside it and never enter 1, and the n-1-j vertices left send arcs
-    anywhere.  With e_j = (1+t)^(j^2) counting every digraph on 1 plus j
-    vertices with no arc into 1, and g_j those in which 1 reaches all j, the
-    split reads B = g * e in the weighted convolution, and the same split of
-    e_j itself reads e = g * d with d_j = (1+t)^(j(j-1)).  Only term n-1 of
-    the last product is read, so only that one convolution is formed.
+    stay inside it and never enter 1, and each of the n-1-j vertices left
+    sends arcs to any of the other n-1 vertices, which gives
+
+        B_n = sum_(j<n) C(n-1,j) (1+t)^((n-1-j)(n-1)) g_j.
+
+    The same split of all (1+t)^(k^2) digraphs on 1 plus k vertices with no
+    arc into 1, whose k-j unreached vertices send arcs to the k-1 other
+    vertices but 1, solves for g term by term:
+
+        g_k = (1+t)^(k^2) - sum_(j<k) C(k,j) (1+t)^((k-j)(k-1)) g_j.
     """
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    d = WeightedSeries([one_plus_t_power(j * (j - 1)) for j in range(n)])
-    e = WeightedSeries([one_plus_t_power(j * j) for j in range(n)])
-    poly = _convolve((e * reciprocal(d)).terms, e.terms, n - 1, 0)
+    # nearly every power here is read once, so caching them only holds memory
+    power = one_plus_t_power.__wrapped__
+    # g_k: digraphs on 1 plus k vertices, with no arc into 1, in which 1 reaches all k
+    g = [Polynomial.one()]
+    for k in range(1, n):
+        acc = power(k * k)
+        for j in range(k):
+            acc = acc - math.comb(k, j) * power((k - j) * (k - 1)) * g[j]
+        g.append(acc)
+    poly = Polynomial.zero()
+    for j in range(n):
+        poly = poly + math.comb(n - 1, j) * power((n - 1) * (n - 1 - j)) * g[j]
     return CoefficientTable.from_counts(
         TypeSpec("B", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
     )
@@ -275,13 +228,15 @@ def gf_deficiency_table(n: int) -> CoefficientTable:
     rows can all be matched (the tau = s part) and K(a, b) those with strict
     surplus, which is impossible once a >= b and a >= 1 (all a rows meet at
     most b columns).  So only K with a < b or a = 0 is stored, and every term
-    with a vanishing K is skipped.  Solved level by level in a + b over a <= b:
-    for a < b the (0, 0) term yields K, then M; for a = b the (a, a) term
-    yields M(a, a).  The checked solve in ``tests/oracles.py``, which the
-    tests hold this one to, also derives each K = 0 with a > b or raises.
+    with a vanishing K is skipped.  Solved column by column in b, and within
+    a column for a = 1..b: for a < b the (0, 0) term yields K, then M; for
+    a = b the (a, a) term yields M(a, a).  Every term read lies in an earlier
+    column or an earlier row of the same one.  The checked solve in
+    ``tests/oracles.py``, which the tests hold this one to, also derives each
+    K = 0 with a > b or raises.
     """
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    matched = {(0, b): Polynomial.one() for b in range(n + 1)}
+    matched = {(0, 0): Polynomial.one()}
     surplus = dict(matched)
 
     def rest(a, b, skip):
@@ -295,21 +250,19 @@ def gf_deficiency_table(n: int) -> CoefficientTable:
                     )
         return one_plus_t_power(a * b) - acc
 
-    for level in range(1, 2 * n + 1):
-        for a in range(max(1, level - n), level // 2 + 1):
-            b = level - a
-            if a < b:
-                surplus[a, b] = rest(a, b, (0, 0))
-                matched[a, b] = sum(
-                    (
-                        math.comb(a, s) * math.comb(b, s) * matched[s, s]
-                        * surplus[a - s, b - s] * one_plus_t_power((a - s) * s)
-                        for s in range(a + 1)
-                    ),
-                    Polynomial.zero(),
-                )
-            else:
-                matched[a, a] = rest(a, a, (a, a))
+    for b in range(1, n + 1):
+        matched[0, b] = surplus[0, b] = Polynomial.one()
+        for a in range(1, b):
+            surplus[a, b] = rest(a, b, (0, 0))
+            matched[a, b] = sum(
+                (
+                    math.comb(a, s) * math.comb(b, s) * matched[s, s]
+                    * surplus[a - s, b - s] * one_plus_t_power((a - s) * s)
+                    for s in range(a + 1)
+                ),
+                Polynomial.zero(),
+            )
+        matched[b, b] = rest(b, b, (b, b))
     poly = one_plus_t_power(n * n) - matched[n, n]
     return CoefficientTable.from_counts(
         TypeSpec("A", n), poly.coefficients, ROUTE_GENERATING_FUNCTION

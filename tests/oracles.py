@@ -20,7 +20,6 @@ from leastchange import (
     ProbabilityPolynomial,
     RationalMatrix,
     TypeSpec,
-    WeightedSeries,
     genfunc,
     one_plus_t_power,
     permanent_expansion,
@@ -329,10 +328,87 @@ def discrete_scan_loop(spec, xset) -> AttainingSet:
 # --- genfunc ---------------------------------------------------------------
 
 
+class WeightedSeries:
+    """Truncated series in a weighted basis: position n stands for the z^n
+    coefficient a_n(t) / (n! * (1+t)^C(n,2)).  In that basis the product rule
+
+        c_n(t) = sum_j binom(n, j) * (1+t)^(j*(n-j)) * a_j(t) * b_(n-j)(t)
+
+    keeps every computation inside integer-coefficient polynomials.  The
+    generic form of the explicit recurrences in ``genfunc``, which the tests
+    hold them to.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = tuple(_coerce(t) for t in terms)
+        if not self.terms:
+            raise ValueError("a series needs at least the constant term")
+
+    @property
+    def order(self) -> int:
+        return len(self.terms) - 1
+
+    def __mul__(self, other: "WeightedSeries") -> "WeightedSeries":
+        if not isinstance(other, WeightedSeries):
+            return NotImplemented
+        order = min(self.order, other.order)
+        return WeightedSeries(
+            [_convolve(self.terms, other.terms, n, 0) for n in range(order + 1)]
+        )
+
+
+def z_series_neg(order: int) -> WeightedSeries:
+    """Base series with z negated: term n is (-1)^n."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return WeightedSeries([Polynomial(((-1) ** n,)) for n in range(order + 1)])
+
+
+def reciprocal(series: WeightedSeries) -> WeightedSeries:
+    """Multiplicative inverse under the weighted convolution.
+
+    Forward recurrence: R_0 = 1 and
+    R_n = -sum_(k=1..n) binom(n, k) * (1+t)^(k*(n-k)) * S_k * R_(n-k).
+    """
+    if series.terms[0] != Polynomial.one():
+        raise ValueError("series must have constant term 1 to be inverted")
+    out = [Polynomial.one()]
+    for n in range(1, series.order + 1):
+        out.append(-_convolve(series.terms, out, n, 1))
+    return WeightedSeries(out)
+
+
+def _convolve(a, b, n: int, start: int) -> Polynomial:
+    """sum_(j=start..n) binom(n, j) * (1+t)^(j*(n-j)) * a_j * b_(n-j)."""
+    acc = Polynomial.zero()
+    for j in range(start, n + 1):
+        if not a[j].coefficients or not b[n - j].coefficients:
+            continue
+        acc = acc + math.comb(n, j) * one_plus_t_power(j * (n - j)) * a[j] * b[n - j]
+    return acc
+
+
+def edge_polynomial_by_series(n: int) -> Polynomial:
+    """Family C's polynomial as term n of the reciprocal of the alternating
+    base series: inverting it is the inclusion-exclusion over source sets."""
+    return reciprocal(z_series_neg(n)).terms[n]
+
+
+def reachability_by_series(n: int) -> Polynomial:
+    """Family B's polynomial as term n-1 of e * reciprocal(d) * e, with
+    d_j = (1+t)^(j(j-1)) and e_j = (1+t)^(j^2): the reachability split of
+    ``genfunc.gf_reachability_table`` as two weighted products."""
+    d = WeightedSeries([one_plus_t_power(j * (j - 1)) for j in range(n)])
+    e = WeightedSeries([one_plus_t_power(j * j) for j in range(n)])
+    return (e * reciprocal(d) * e).terms[n - 1]
+
+
 def schoolbook_product(p: Polynomial, q) -> Polynomial:
     """Polynomial product by the double loop over coefficient pairs."""
     q = _coerce(q)
-    if p.is_zero() or q.is_zero():
+    if not p.coefficients or not q.coefficients:
         return Polynomial()
     a, b = p.coefficients, q.coefficients
     out = [0] * (len(a) + len(b) - 1)
@@ -416,7 +492,7 @@ def checked_deficiency_table(n: int) -> CoefficientTable:
                 )
             elif a > b:
                 surplus[a, b] = rest(a, b, (0, 0))
-                if not surplus[a, b].is_zero():
+                if surplus[a, b].coefficients:
                     raise RuntimeError(f"deficiency split leaves surplus at {a}x{b}")
             else:
                 surplus[a, a] = Polynomial.zero()
@@ -466,6 +542,34 @@ def b_end_coefficients(n: int) -> dict[int, int]:
         ends[1] = m - 1
     if n >= 3:
         ends[2] = math.comb(m - 1, 2) - (n - 1)
+    return ends
+
+
+def c_end_coefficients(n: int) -> dict[int, int]:
+    """Proven entries E(i) of family C's table (unit diagonal; m = n^2 - n
+    variable cells), counting labeled DAGs on n vertices by edges.
+
+    A digraph is a DAG unless it holds a cycle; top = C(n, 2) is the most
+    edges a DAG has.
+    - E(1) = m: one arc closes no cycle.
+    - E(2) = C(m, 2) - C(n, 2): two arcs close only a two-cycle.
+    - E(3) = C(m, 3) - C(n, 2)(m - 2) - 2 C(n, 3): three arcs hold a cycle
+      when they hold a two-cycle plus any third arc, or form one of the two
+      directed triangles on each vertex triple.
+    - E(top) = n!: a DAG with C(n, 2) edges is a transitive tournament, one
+      per vertex order.
+    - E(top - 1) = n! C(n, 2) - n!(n - 1)/2: deleting one of the C(n, 2)
+      edges of a transitive tournament gives every such DAG, and one lacking
+      the edge between two vertices adjacent in its order arises from both
+      orders of that pair.
+    """
+    if n < 3:
+        raise ValueError(f"the five forms index entries of the table from n = 3 on, got {n}")
+    m, top = n * n - n, math.comb(n, 2)
+    ends = {1: m, 2: math.comb(m, 2) - top}
+    ends[3] = math.comb(m, 3) - top * (m - 2) - 2 * math.comb(n, 3)
+    ends[top] = math.factorial(n)
+    ends[top - 1] = math.factorial(n) * top - math.factorial(n) * (n - 1) // 2
     return ends
 
 

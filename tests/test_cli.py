@@ -82,9 +82,15 @@ class TestCount:
         assert route_tables(out) == [("enumeration", "1 4 4"), ("gf", "1 4 4")]
 
     def test_invalid_route_for_family_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "count", "--family", "A", "--n", "3", "--route", "dag")
-        assert exc.value.code == 2
+        for family in "AB":
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "count", "--family", family, "--n", "3", "--route", "dag")
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert lines[0].startswith("usage: leastchange count [-h] --family {A,B,C} --n N")
+            assert lines[-1] == "leastchange count: error: route dag applies only to family C"
 
     @pytest.mark.parametrize("family", ["A", "B"])
     @pytest.mark.parametrize("n", range(1, 6))
@@ -292,17 +298,23 @@ class TestLeast:
 
     def test_bad_literal_is_usage_error(self, capsys):
         cases = [
-            ("1,2", "must contain 0"),
+            ("1,2", "a value set must contain 0"),
             ("0", "nonzero value"),
-            ("0,1/0", "zero denominator"),
-            ("[0:2:3]", "must look like [0:2]"),
-            ("[0:2", "must look like [0:2]"),
+            ("0,1/0", "value set '0,1/0' has a zero denominator"),
+            ("0,x", "Invalid literal for Fraction: 'x'"),
+            ("[0:2:3]", "interval '[0:2:3]' must look like [0:2]"),
+            ("[0:2", "interval '[0:2' must look like [0:2]"),
         ]
         for values, message in cases:
             with pytest.raises(SystemExit) as exc:
                 run(capsys, "least", "--family", "C", "--n", "2", "--values", values)
             assert exc.value.code == 2
-            assert message in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert lines[0].startswith("usage: leastchange least [-h] --family {A,B,C} --n N")
+            assert lines[-1].startswith("leastchange least: error: ")
+            assert message in lines[-1]
 
 
 SCANNED = [
