@@ -21,7 +21,7 @@ _EXPORTED_BY = {
     "errors": "BudgetError DimensionError PatternError",
     "genfunc": "Polynomial edge_polynomial gf_deficiency_table gf_edge_table "
     "gf_reachability_table one_plus_t_power",
-    "matrices": "BinaryMatrix RationalMatrix TypeSpec determinant permanent_expansion support",
+    "matrices": "BinaryMatrix RationalMatrix TypeSpec determinant permanent support",
     "probability": "ChainReport CurveSample ProbabilityPolynomial emit_curve family_tables "
     "find_order_violation",
     "tables": "ROUTE_DAG_CENSUS ROUTE_ENUMERATION ROUTE_GENERATING_FUNCTION CoefficientTable",

@@ -1,9 +1,9 @@
 """Exhaustive census of pertinent matrices for each family, row by row.
 
 An assignment of the m variable elements is an m-bit counter; bit k drives
-the k-th variable cell in row-major order (``TypeSpec.fields``).  A set of
-masks or counters is a Python int used as a bit plane (Biham, FSE 1997): one
-AND, OR or shift acts on all of them, with no array library.
+the k-th variable cell in row-major order (``TypeSpec.variable_columns``).
+A set of masks or counters is a Python int used as a bit plane (Biham, FSE
+1997): one AND, OR or shift acts on all of them, with no array library.
 
 Laplace expansion along the last row gives perm(M[rows <= i, S]) = sum over
 the covered j of S of perm(M[rows < i, S - {j}]) (Minc, *Permanents*, 1978),

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 from .errors import DimensionError, PatternError
 
-# Bitmask storage supports up to 30; the factorial-cost permanent expansion
-# below enforces its own, much smaller cap.
+# Bitmask storage supports up to 30; ``permanent`` expands over every column
+# subset and enforces its own, much smaller cap.
 MAX_DIMENSION = 30
 MAX_EXPANSION_DIMENSION = 8
 
@@ -140,37 +141,18 @@ class TypeSpec:
         return tuple(full & ~r for r in self.variable_rows)
 
     @cached_property
-    def fields(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per-row ``(counter_shift, width, column_start)`` runs of the counter.
-
-        Bit k of an assignment counter drives the k-th variable cell in
-        row-major order, so each maximal run of variable cells in a row takes
-        ``width`` consecutive counter bits starting at ``counter_shift``.
-        """
-        plan = []
-        shift = 0
-        for row in self.variable_rows:
-            runs = []
-            j = 0
-            while row >> j:
-                width = 0
-                while (row >> (j + width)) & 1:
-                    width += 1
-                if width:
-                    runs.append((shift, width, j))
-                    shift += width
-                j += width + 1
-            plan.append(tuple(runs))
-        return tuple(plan)
+    def variable_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the 0-based variable columns in counter order: bit k of an
+        assignment counter drives the k-th variable cell in row-major order."""
+        return tuple(
+            tuple(j for j in range(self.n) if row >> j & 1) for row in self.variable_rows
+        )
 
     @cached_property
     def variable_positions(self) -> tuple[tuple[int, int], ...]:
         """Variable cells in counter (row-major) order, 1-based."""
         return tuple(
-            (i + 1, col + 1)
-            for i, runs in enumerate(self.fields)
-            for _, width, start in runs
-            for col in range(start, start + width)
+            (i + 1, j + 1) for i, cols in enumerate(self.variable_columns) for j in cols
         )
 
     @cached_property
@@ -199,9 +181,10 @@ class TypeSpec:
         if not 0 <= bits < (1 << self.m):
             raise ValueError(f"assignment counter {bits} outside 0..2^{self.m}-1")
         rows = list(self.fixed_rows)
-        for i, runs in enumerate(self.fields):
-            for shift, width, col in runs:
-                rows[i] |= ((bits >> shift) & ((1 << width) - 1)) << col
+        for i, cols in enumerate(self.variable_columns):
+            for j in cols:
+                rows[i] |= (bits & 1) << j
+                bits >>= 1
         return BinaryMatrix(self.n, tuple(rows))
 
     def counter_of(self, member, values=(0, 1)) -> int:
@@ -235,68 +218,34 @@ def _check_index(n: int, i: int, j: int) -> None:
         raise IndexError(f"index ({i}, {j}) outside 1..{n}")
 
 
-def _check_expansion_dim(n: int) -> None:
-    if not 1 <= n <= MAX_EXPANSION_DIMENSION:
-        raise DimensionError(
-            f"permutation expansion supports 1..{MAX_EXPANSION_DIMENSION}, got {n}"
-        )
-
-
-def permanent_expansion(matrix):
-    """Permanent as the literal sum over all n! permutations.
-
-    Accepts a BinaryMatrix (returns int) or RationalMatrix (returns
-    Fraction).  Branches with a zero partial product are skipped, but
-    every surviving permutation is visited individually.
-    """
-    n = matrix.n
-    _check_expansion_dim(n)
-    if isinstance(matrix, BinaryMatrix):
-        # column j is matched to some unused row with a 1 in that column
-        col_masks = [0] * n
-        for i, r in enumerate(matrix.rows):
-            for j in range(n):
-                if (r >> j) & 1:
-                    col_masks[j] |= 1 << i
-
-        def count(j: int, used: int) -> int:
-            if j == n:
-                return 1
-            total = 0
-            avail = col_masks[j] & ~used
-            while avail:
-                low = avail & -avail
-                total += count(j + 1, used | low)
-                avail ^= low
-            return total
-
-        return count(0, 0)
-
-    entries = matrix.entries
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        prod = Fraction(1)
-        for j, i in enumerate(perm):
-            v = entries[i][j]
-            if v == 0:
-                break
-            prod *= v
-        else:
-            total += prod
-    return total
-
-
 def determinant(matrix) -> Fraction:
     """Exact determinant via the integer Bareiss kernel.
 
     Rational entries are first scaled to integers by the lcm of their
     denominators; the scale comes back out as ``scale**n``.
     """
-    if isinstance(matrix, BinaryMatrix):
-        return Fraction(det_int(matrix.to_lists()))
-    scale = math.lcm(*(v.denominator for row in matrix.entries for v in row))
-    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix.entries]
+    scale, rows = _integer_rows(matrix)
     return Fraction(det_int(rows), scale**matrix.n)
+
+
+def permanent(matrix) -> Fraction:
+    """Exact permanent: the unsigned Laplace kernel on the one matrix, its
+    rational entries scaled to integers as in :func:`determinant`."""
+    if matrix.n > MAX_EXPANSION_DIMENSION:
+        raise DimensionError(
+            f"permanent supports n = 1..{MAX_EXPANSION_DIMENSION}, got {matrix.n}"
+        )
+    scale, rows = _integer_rows(matrix)
+    [value] = laplace([[row] for row in rows], signed=False)
+    return Fraction(value, scale**matrix.n)
+
+
+def _integer_rows(matrix) -> tuple[int, list[list[int]]]:
+    """The lcm of the entries' denominators, and the entries times it."""
+    if isinstance(matrix, BinaryMatrix):
+        return 1, matrix.to_lists()
+    scale = math.lcm(*(v.denominator for row in matrix.entries for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in matrix.entries]
 
 
 def det_int(a: list[list[int]]) -> int:
@@ -326,6 +275,37 @@ def det_int(a: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def laplace(rows, signed: bool = True) -> list[int]:
+    """Determinant (permanent unless ``signed``) of every matrix whose row i is
+    one of the integer candidates ``rows[i]``, row 0's choice the fastest index.
+
+    Cofactor expansion one row at a time (Minc, *Permanents*, 1978):
+    ``minors[s]`` lists the minor of rows 0..i on columns s for every choice of
+    those rows, and row i's choice is the outer index.  Term p of a minor is
+    entry s[p] times the minor off column s[p]: one product list per value of
+    that cell serves every candidate of row i.
+    """
+    n, sign = len(rows), -1 if signed else 1
+    minors, size = {(): [1]}, 1
+    for i, candidates in enumerate(rows):
+        zeros, grown = [0] * size, {}
+        for s in itertools.combinations(range(n), i + 1):
+            products = [
+                {
+                    v: list(map((sign ** (i + p) * v).__mul__, minors[s[:p] + s[p + 1 :]]))
+                    for v in {row[c] for row in candidates} - {0}
+                }
+                for p, c in enumerate(s)
+            ]
+            block = []
+            for row in candidates:
+                terms = [products[p][row[c]] for p, c in enumerate(s) if row[c]]
+                block += reduce(partial(map, operator.add), terms) if terms else zeros
+            grown[s] = block
+        minors, size = grown, size * len(candidates)
+    return minors[tuple(range(n))]
 
 
 def support(matrix) -> BinaryMatrix:

@@ -17,8 +17,8 @@ reads ``genfunc.series_table`` and never loads this module (which is why
 ``enumeration.pertinent_bits`` over all 2^m patterns is read only when the
 members themselves are asked for.  For a discrete set every assignment has
 positive probability, so plain minimization over assignments applies: one
-list of Python ints holds every assignment's determinant, built by cofactor
-expansion one row at a time.
+list of Python ints holds every assignment's determinant, from
+``matrices.laplace`` over each row's candidate rows.
 
 Which cells are variable and which are fixed at 1 comes from ``TypeSpec``
 alone: both scans visit the assignments in the order of its counter (value
@@ -36,11 +36,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache
 
 from .enumeration import pertinent_bits
 from .errors import BudgetError
@@ -50,7 +49,8 @@ from .matrices import (
     RationalMatrix,
     TypeSpec,
     determinant,
-    permanent_expansion,
+    laplace,
+    permanent,
     support,
 )
 from .values import ValueSet
@@ -196,11 +196,10 @@ def _pattern_scan(spec: TypeSpec) -> AttainingSet:
 
 
 def _row_choices(spec: TypeSpec, values, fixed):
-    """Per row of ``spec.fields``: the entry tuples of its k^w assignments,
-    lowest digit first, ``fixed`` in fixed cells, and each tuple's number of
-    nonzero variable entries."""
-    for runs in spec.fields:
-        cols = [c for _, width, start in runs for c in range(start, start + width)]
+    """Per row: the entry tuples of its k^w assignments, lowest digit first,
+    ``fixed`` in fixed cells, and each tuple's number of nonzero variable
+    entries."""
+    for cols in spec.variable_columns:
         row, entries, nonzeros = [fixed] * spec.n, [], []
         # product() turns its last factor fastest, so that factor is digit 0
         for combo in itertools.product(values, repeat=len(cols)):
@@ -213,31 +212,15 @@ def _row_choices(spec: TypeSpec, values, fixed):
 
 def _determinants(spec: TypeSpec, scaled, scale: int) -> tuple[list[int], list[int]]:
     """Every assignment's determinant by counter (fixed cells hold ``scale``),
-    and its number of nonzero variable entries.  Cofactor expansion row by
-    row: ``minors[s]`` lists the minor of rows 0..i on columns s for every
-    assignment of those rows, which take the lower digits; row i's choice is
-    the outer index, so the nonzero counts are outer sums."""
-    minors, nonzeros = {(): [1]}, [0]
-    for i, (entries, counts) in enumerate(_row_choices(spec, scaled, scale)):
-        zeros, grown = [0] * len(nonzeros), {}
-        for s in itertools.combinations(range(spec.n), i + 1):
-            # term p is entry s[p] times the signed minor off column s[p]: one
-            # product list per value of that cell serves every choice of row i
-            products = [
-                {
-                    v: list(map(((-1) ** (i + p) * v).__mul__, minors[s[:p] + s[p + 1 :]]))
-                    for v in {entry[c] for entry in entries} - {0}
-                }
-                for p, c in enumerate(s)
-            ]
-            block = []
-            for entry in entries:
-                terms = [products[p][entry[c]] for p, c in enumerate(s) if entry[c]]
-                block += reduce(partial(map, operator.add), terms) if terms else zeros
-            grown[s] = block
-        minors = grown
-        nonzeros = [low + high for high in counts for low in nonzeros]
-    return minors[tuple(range(spec.n))], nonzeros
+    and its number of nonzero variable entries.  Row i's cells take the
+    counter digits above those of rows 0..i-1, so ``laplace``, row 0's choice
+    fastest, lists the determinants in counter order, and the nonzero counts
+    are outer sums."""
+    entries, counts = zip(*_row_choices(spec, scaled, scale))
+    nonzeros = [0]
+    for row_counts in counts:
+        nonzeros = [low + high for high in row_counts for low in nonzeros]
+    return laplace(entries), nonzeros
 
 
 @dataclass(frozen=True)
@@ -367,8 +350,8 @@ def counterexample_report() -> CheckReport:
     t3 = support(s3).to_rational()
     claim("det of the scaled witness", Fraction(0), determinant(s3))
     claim("det of its pattern", Fraction(0), determinant(t3))
-    claim("permanent of the scaled witness", Fraction(2), permanent_expansion(s3))
-    claim("permanent of its pattern", 2, permanent_expansion(support(s3)))
+    claim("permanent of the scaled witness", Fraction(2), permanent(s3))
+    claim("permanent of its pattern", 2, permanent(support(s3)))
     claim(
         "pattern of the scaled witness",
         BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 0], [1, 1, 1]]).to_lists(),

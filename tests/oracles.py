@@ -22,7 +22,6 @@ from leastchange import (
     TypeSpec,
     genfunc,
     one_plus_t_power,
-    permanent_expansion,
 )
 from leastchange.genfunc import _coerce
 from leastchange.matrices import det_int
@@ -53,6 +52,49 @@ def permanent_ryser(matrix: BinaryMatrix) -> int:
                 break
         if (n - subset.bit_count()) & 1:
             total -= prod
+        else:
+            total += prod
+    return total
+
+
+def permanent_expansion(matrix):
+    """Permanent as the literal sum over all n! permutations.
+
+    Accepts a BinaryMatrix (returns int) or RationalMatrix (returns
+    Fraction).  Branches with a zero partial product are skipped, but
+    every surviving permutation is visited individually.
+    """
+    n = matrix.n
+    if isinstance(matrix, BinaryMatrix):
+        # column j is matched to some unused row with a 1 in that column
+        col_masks = [0] * n
+        for i, r in enumerate(matrix.rows):
+            for j in range(n):
+                if (r >> j) & 1:
+                    col_masks[j] |= 1 << i
+
+        def count(j: int, used: int) -> int:
+            if j == n:
+                return 1
+            total = 0
+            avail = col_masks[j] & ~used
+            while avail:
+                low = avail & -avail
+                total += count(j + 1, used | low)
+                avail ^= low
+            return total
+
+        return count(0, 0)
+
+    entries = matrix.entries
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        prod = Fraction(1)
+        for j, i in enumerate(perm):
+            v = entries[i][j]
+            if v == 0:
+                break
+            prod *= v
         else:
             total += prod
     return total
@@ -156,12 +198,17 @@ BATCH_SIZE = 1 << 20
 
 def build_rows(spec, counters: np.ndarray) -> np.ndarray:
     """Row bitmasks of each uint32 counter's matrix, shape ``(n, len(counters))``."""
-    rows = np.zeros((spec.n, len(counters)), dtype=np.uint8)
-    for i, runs in enumerate(spec.fields):
-        for shift, width, col in runs:
-            field = (counters >> np.uint32(shift)) & np.uint32((1 << width) - 1)
-            rows[i] |= (field << np.uint32(col)).astype(np.uint8)
-        rows[i] |= np.uint8(spec.fixed_rows[i])
+    rows = np.empty((spec.n, len(counters)), dtype=np.uint8)
+    shift = 0
+    for i, cols in enumerate(spec.variable_columns):
+        # the row's mask for each value of its counter bits, looked up
+        masks = [
+            spec.fixed_rows[i] | sum(1 << j for k, j in enumerate(cols) if s >> k & 1)
+            for s in range(1 << len(cols))
+        ]
+        field = (counters >> np.uint32(shift)) & np.uint32(len(masks) - 1)
+        rows[i] = np.array(masks, dtype=np.uint8)[field]
+        shift += len(cols)
     return rows
 
 
@@ -514,15 +561,30 @@ def a_end_coefficients(n: int) -> dict[int, int]:
       p + q = n + 1.  For n >= 4 only a zero row or column fits, plus one
       more zero: 2n * n(n - 1).  At n = 3 the nine 2 x 2 blocks add 9 to
       the 36 of that count, for 45.
+    - E(n + 1) = C(m, n + 1) - n!(m - n) and E(n + 2) = C(m, n + 2) -
+      n! C(m - n, 2) + n! C(n, 2) / 2 for n >= 3.  Two distinct permutation
+      matrices differ in at least two rows, so together they cover at least
+      n + 2 cells: n + 1 ones hold at most one of them, and n + 2 ones hold
+      two only when they differ by one of the C(n, 2) transpositions, and
+      then exactly those two.  Inclusion-exclusion stops at pairs.
     """
-    m = n * n
+    m, f = n * n, math.factorial(n)
     ends = {i: math.comb(m, i) for i in range(n)}
     if n >= 2:
-        ends[n] = math.comb(m, n) - math.factorial(n)
+        ends[n] = math.comb(m, n) - f
     if n == 3:
         ends[m - n - 1] = 45
     elif n >= 4:
         ends[m - n - 1] = 2 * n * n * (n - 1)
+    if n >= 3:
+        low = {
+            n + 1: math.comb(m, n + 1) - f * (m - n),
+            n + 2: math.comb(m, n + 2) - f * math.comb(m - n, 2) + f * math.comb(n, 2) // 2,
+        }
+        # at n = 3, E(n + 2) is E(top - 1): the two derivations must agree
+        if any(ends.get(i, count) != count for i, count in low.items()):
+            raise ValueError(f"two derivations of one entry of A{n} disagree")
+        ends.update(low)
     return ends
 
 
@@ -571,6 +633,29 @@ def c_end_coefficients(n: int) -> dict[int, int]:
     ends[top] = math.factorial(n)
     ends[top - 1] = math.factorial(n) * top - math.factorial(n) * (n - 1) // 2
     return ends
+
+
+def edge_polynomials_by_sources(n_max: int) -> list[Polynomial]:
+    """Family C's polynomials for n = 0..n_max by Robinson's split refined by
+    the exact number of sources, sharing no identity with the series route.
+
+    a(n, k) counts the labeled DAGs on n vertices with exactly k sources by
+    edges: a(n, k) = C(n, k) * sum_j a(n - k, j) * ((1+t)^k - 1)^j *
+    (1+t)^(k(n - k - j)), with a(0, 0) = 1.  Each of the j sources of the rest
+    takes at least one edge from the k sources; the other n - k - j vertices
+    take any.  No term is negative.  E_C(n) = sum_k a(n, k).
+    """
+    a = [{0: Polynomial.one()}]
+    for n in range(1, n_max + 1):
+        row = {}
+        for k in range(1, n + 1):
+            hit = one_plus_t_power(k) - 1
+            acc = Polynomial.zero()
+            for j, rest in a[n - k].items():
+                acc = acc + rest * hit**j * one_plus_t_power(k * (n - k - j))
+            row[k] = math.comb(n, k) * acc
+        a.append(row)
+    return [sum(row.values(), Polynomial.zero()) for row in a]
 
 
 # --- probability -----------------------------------------------------------

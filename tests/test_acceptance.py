@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import identity_matrix, matrix_to_digraph, zero_matrix
+from oracles import identity_matrix, matrix_to_digraph, permanent_expansion, zero_matrix
 
 from leastchange import (
     BinaryMatrix,
@@ -37,7 +37,6 @@ from leastchange import (
     is_acyclic,
     least_determinant,
     least_determinant_binary,
-    permanent_expansion,
 )
 from leastchange.enumeration import _table_cache
 from leastchange.reference import PUBLISHED_TOTALS, REFERENCE_COUNTS

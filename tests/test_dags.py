@@ -1,5 +1,11 @@
 import pytest
-from oracles import census_batched, identity_matrix, matrix_to_digraph, peel
+from oracles import (
+    census_batched,
+    identity_matrix,
+    matrix_to_digraph,
+    peel,
+    permanent_expansion,
+)
 
 from leastchange import (
     BinaryMatrix,
@@ -10,7 +16,6 @@ from leastchange import (
     count_dags_by_edges,
     count_pertinent,
     is_acyclic,
-    permanent_expansion,
 )
 from leastchange import dags
 from leastchange.dags import acyclic_bits

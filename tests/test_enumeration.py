@@ -12,6 +12,7 @@ from oracles import (
     identity_matrix,
     is_pertinent,
     nonzero_cells,
+    permanent_expansion,
     scan_counts,
     scan_mask,
     zero_matrix,
@@ -28,12 +29,13 @@ from leastchange import (
     attaining_patterns,
     count_pertinent,
     has_perfect_matching,
-    permanent_expansion,
 )
 from leastchange.enumeration import _row_counts, pertinent_bits
 from leastchange.genfunc import series_table
+from leastchange.matrices import laplace
 from leastchange.reference import REFERENCE_COUNTS
 from leastchange.tables import CoefficientTable, ROUTE_ENUMERATION
+from leastchange.valuesets import _row_choices
 
 
 @cache
@@ -234,7 +236,7 @@ class TestOneLayout:
 
     def test_layout_is_computed_once(self):
         spec = TypeSpec("B", 4)
-        for name in ("variable_rows", "fixed_rows", "fields", "variable_positions"):
+        for name in ("variable_rows", "fixed_rows", "variable_columns", "variable_positions"):
             assert getattr(spec, name) is getattr(spec, name)
 
 
@@ -290,6 +292,18 @@ class TestRowSplitLookup:
         for bits in range(1 << spec.m):
             expected = permanent_expansion(spec.matrix_from_bits(bits)) == spec.target_permanent
             assert (plane >> bits & 1) == expected
+
+
+    @pytest.mark.parametrize("family, n", [("A", 4), ("B", 4), ("C", 4), ("B", 5), ("C", 5)])
+    def test_unsigned_laplace_is_the_plane(self, family, n):
+        # the permanent of every {0, 1} choice by the Laplace kernel, in
+        # counter order, is the target exactly on the plane's set bits
+        spec = TypeSpec(family, n)
+        rows = [entries for entries, _ in _row_choices(spec, [0, 1], 1)]
+        perms = laplace(rows, signed=False)
+        hits = "".join("1" if p == spec.target_permanent else "0" for p in reversed(perms))
+        assert len(perms) == 1 << spec.m
+        assert int(hits, 2) == pertinent_bits(spec)
 
 
 class TestIndependentRecount:

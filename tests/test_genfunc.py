@@ -17,6 +17,7 @@ from oracles import (
     coefficient_by_differentiation,
     derivative,
     edge_polynomial_by_series,
+    edge_polynomials_by_sources,
     evaluate_polynomial,
     reachability_by_series,
     reciprocal,
@@ -138,6 +139,13 @@ class TestTablesUnderTheOracleProduct:
         monkeypatch.setattr(Polynomial, "__mul__", schoolbook_product)
         monkeypatch.setattr(Polynomial, "__rmul__", schoolbook_product)
         assert series(n).coeffs == kernel
+
+    def test_source_split_equals_the_series(self, monkeypatch):
+        series = [gf_edge_table(n).coeffs for n in range(1, 9)]
+        monkeypatch.setattr(Polynomial, "__mul__", schoolbook_product)
+        monkeypatch.setattr(Polynomial, "__rmul__", schoolbook_product)
+        split = [poly.coefficients for poly in edge_polynomials_by_sources(8)[1:]]
+        assert split == series
 
 
 class TestExplicitRecurrences:
@@ -416,6 +424,36 @@ class TestEndCoefficients:
     @pytest.mark.parametrize("n", range(3, 25))
     def test_c_series(self, n):
         assert_ends(c_end_coefficients(n), gf_edge_table(n).coeffs)
+
+
+@functools.cache
+def edge_polynomials_to_24() -> list[Polynomial]:
+    return edge_polynomials_by_sources(24)
+
+
+class TestSourceSplit:
+    """Family C by its exact number of sources, term for term against the series."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_equals_the_series(self, n):
+        assert edge_polynomials_to_24()[n].coefficients == gf_edge_table(n).coeffs
+
+
+def entry(counts, i: int) -> int:
+    """Coefficient i of a table, 0 past its end."""
+    return counts[i] if i < len(counts) else 0
+
+
+class TestCrossFamilyDominance:
+    """E_C(i) <= E_B(i) <= E_A(i + n - 1).  A pertinent C pattern is a pertinent
+    B pattern with x_11 = 0, and a pertinent B pattern is a zero-permanent A
+    pattern whose fixed diagonal adds n - 1 ones."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_on_the_series(self, n):
+        a, b, c = (series_table(TypeSpec(family, n)).coeffs for family in "ABC")
+        for i in range(n * n - n + 2):
+            assert entry(c, i) <= entry(b, i) <= entry(a, i + n - 1)
 
 
 def value_at_minus_one(counts) -> int:

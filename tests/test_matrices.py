@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from oracles import (
     delete_row_col,
     determinant_expansion,
     identity_matrix,
+    permanent_expansion,
     permanent_ryser,
     zero_matrix,
 )
@@ -18,9 +20,10 @@ from leastchange import (
     RationalMatrix,
     TypeSpec,
     determinant,
-    permanent_expansion,
+    permanent,
     support,
 )
+from leastchange.matrices import det_int, laplace
 
 
 def random_binary(rng, n):
@@ -108,19 +111,35 @@ class TestTypeSpec:
 
 class TestPermanent:
     def test_all_ones_2x2(self):
-        assert permanent_expansion(BinaryMatrix.ones(2)) == 2
+        assert permanent(BinaryMatrix.ones(2)) == 2
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_identity(self, n):
-        assert permanent_expansion(identity_matrix(n)) == 1
+        assert permanent(identity_matrix(n)) == 1
 
     def test_scaled_witness(self):
         s3 = RationalMatrix.from_rows([[1, 0, Fraction(1, 2)], [0, 1, 0], [2, 1, 1]])
-        assert permanent_expansion(s3) == 2
+        assert permanent(s3) == 2
 
     def test_dimension_guard(self):
+        assert permanent(BinaryMatrix.ones(8)) == 40320
         with pytest.raises(DimensionError):
-            permanent_expansion(identity_matrix(9))
+            permanent(identity_matrix(9))
+
+    def test_matches_both_oracles_on_every_binary_3x3(self):
+        for bits in range(1 << 9):
+            m = BinaryMatrix(3, tuple(bits >> (3 * i) & 7 for i in range(3)))
+            assert permanent(m) == permanent_ryser(m) == permanent_expansion(m)
+
+    def test_matches_expansion_on_seeded_rationals(self):
+        rng = random.Random(20261020)
+        entries = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+        for n in range(1, 7):
+            for _ in range(20):
+                m = RationalMatrix.from_rows(
+                    [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+                )
+                assert permanent(m) == permanent_expansion(m)
 
     def test_ryser_small_values(self):
         assert permanent_ryser(BinaryMatrix.ones(2)) == 2
@@ -163,7 +182,25 @@ class TestPermanent:
     def test_binary_permanent_nonnegative(self):
         rng = random.Random(7)
         for _ in range(200):
-            assert permanent_expansion(random_binary(rng, 4)) >= 0
+            assert permanent(random_binary(rng, 4)) >= 0
+
+
+class TestLaplace:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_choice_in_index_order(self, n):
+        # row 0's choice is the fastest index; each entry is the determinant,
+        # or unsigned the permanent, of the matrix of that choice
+        rng = random.Random(n)
+        rows = [
+            [tuple(rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(n)) for _ in range(k)]
+            for k in (rng.randint(1, 3) for _ in range(n))
+        ]
+        choices = [combo[::-1] for combo in itertools.product(*reversed(rows))]
+        dets, perms = laplace(rows), laplace(rows, signed=False)
+        assert len(dets) == len(perms) == len(choices)
+        for det, perm, choice in zip(dets, perms, choices):
+            assert det == det_int([list(row) for row in choice])
+            assert perm == permanent_expansion(RationalMatrix.from_rows(choice))
 
 
 class TestDeterminant:

@@ -11,6 +11,7 @@ from oracles import (
     discrete_scan_loop,
     identity_matrix,
     nonzero_cells,
+    permanent_expansion,
     zero_matrix,
 )
 
@@ -30,7 +31,6 @@ from leastchange import (
     determinant,
     least_determinant,
     least_determinant_binary,
-    permanent_expansion,
     support,
 )
 from leastchange.cli import main
