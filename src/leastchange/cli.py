@@ -7,26 +7,29 @@ Exit codes: 0 success/agreement, 1 verification or agreement failure,
 2 usage error (including an output file that cannot be written).
 
 Every routine runs on Python ints and Fractions, with no third-party
-import.  ``valuesets`` loads inside the handlers that call it: ``least`` over
-a discrete set and the ``witnesses``, ``inclusion`` and ``complement`` suites
-of ``verify``; ``least`` over an interval is answered from the series table,
-up to n = 24.
+import.  The module top loads only what every command needs: the argument
+parser, the family layout and the route table.  Everything else loads where
+it is used, so ``count`` by enumeration loads no series, no probability, no
+``fractions`` and no ``json``:
+
+- ``genfunc`` in the series route and in ``least``, which answers over an
+  interval from the series table, up to n = 24;
+- ``probability`` in ``curve``;
+- ``valuesets`` in ``least`` over a discrete set and in the ``witnesses``,
+  ``inclusion`` and ``complement`` suites of ``verify``;
+- ``fractions`` where a step or a value set is parsed, ``json`` where JSON
+  is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 import leastchange
 
-from . import reference
 from .errors import BudgetError, DimensionError, PatternError
-from .genfunc import series_table
 from .matrices import TypeSpec
-from .probability import emit_curve, family_tables, find_order_violation
 from .tables import (
     ROUTE_DAG_CENSUS,
     ROUTE_ENUMERATION,
@@ -48,6 +51,8 @@ def _compute(spec: TypeSpec, route: str) -> CoefficientTable:
         from .dags import count_dags_by_edges
 
         return count_dags_by_edges(spec.n)
+    from .genfunc import series_table
+
     return series_table(spec)
 
 
@@ -86,6 +91,8 @@ def cmd_count(args, parser) -> int:
 
 def _print_table(table: CoefficientTable, fmt: str, out) -> None:
     if fmt == "json":
+        import json
+
         out.write(json.dumps(table.as_dict()) + "\n")
     elif fmt == "csv":
         out.write("i,count\n")
@@ -115,6 +122,10 @@ def cmd_least(args, parser) -> int:
         reach = ROUTE_MAX_N[ROUTE_GENERATING_FUNCTION]
         if spec.n > reach:
             raise DimensionError(f"least over an interval supports n = 1..{reach}, got {spec.n}")
+        from fractions import Fraction
+
+        from .genfunc import series_table
+
         table = series_table(spec)
         least = least_binary = Fraction(spec.target_permanent)
         attaining = patterns = table.total
@@ -137,6 +148,8 @@ def cmd_least(args, parser) -> int:
         "by_nonzeros": {str(i): c for i, c in sizes.items()},
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(result))
     else:
         for key, value in result.items():
@@ -154,10 +167,13 @@ def _value_set(text: str) -> leastchange.ValueSet:
     bounds = text[1:-1].split(":")
     if not text.endswith("]") or len(bounds) != 2:
         raise ValueError(f"interval {text!r} must look like [0:2]")
-    return ValueSet.continuous(Fraction(bounds[0]), Fraction(bounds[1]))
+    return ValueSet.continuous(*bounds)
 
 
-def _grid_step(text: str) -> Fraction:
+def _grid_step(text: str) -> leastchange.values.Fraction:
+    # the annotation reaches Fraction through the lazily loaded ``values``
+    from fractions import Fraction
+
     try:
         step = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -174,6 +190,10 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_curve(args, parser) -> int:
+    from fractions import Fraction
+
+    from .probability import emit_curve, family_tables, find_order_violation
+
     tables = family_tables(args.n)
     out = _open_out(args.out)
     try:
@@ -211,6 +231,8 @@ def cmd_verify(args, parser) -> int:
         checks.extend(_SUITES[name](args))
     ok = all(passed for _, passed, _ in checks)
     if args.format == "json":
+        import json
+
         payload = [
             {"check": name, "pass": passed, "detail": detail}
             for name, passed, detail in checks
@@ -229,9 +251,10 @@ def cmd_verify(args, parser) -> int:
 
 def _suite_tables(args) -> list[tuple[str, bool, str]]:
     from .enumeration import count_pertinent
+    from .reference import REFERENCE_COUNTS
 
     out = []
-    for family, rows in reference.REFERENCE_COUNTS.items():
+    for family, rows in REFERENCE_COUNTS.items():
         for n, expected in rows.items():
             table = count_pertinent(TypeSpec(family, n))
             ok = table.coeffs == expected
@@ -293,6 +316,8 @@ def _suite_witnesses(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_inclusion(args) -> list[tuple[str, bool, str]]:
+    from fractions import Fraction
+
     from .values import ValueSet
     from .valuesets import check_inclusion
 
@@ -319,9 +344,10 @@ def _suite_complement(args) -> list[tuple[str, bool, str]]:
 
 def _suite_oeis(args) -> list[tuple[str, bool, str]]:
     from .enumeration import count_pertinent
+    from .reference import PUBLISHED_TOTALS
 
     out = []
-    for family, totals in reference.PUBLISHED_TOTALS.items():
+    for family, totals in PUBLISHED_TOTALS.items():
         for n, expected in enumerate(totals, start=1):
             total = count_pertinent(TypeSpec(family, n)).total
             ok = total == expected

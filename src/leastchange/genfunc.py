@@ -16,10 +16,20 @@ builds its terms up to n and reads the last; ``check_reach`` bounds n at 24.
   Dulmage-Mendelsohn decomposition in Lovasz & Plummer, *Matching Theory*).
   The A totals are OEIS A088672.
 
-Polynomial products use Kronecker substitution (Kronecker 1882; Schoenhage,
-"Asymptotically fast algorithms for the numerical multiplication and
-division of polynomials with complex coefficients", 1982): each factor is
-evaluated at 2^(8w) by packing its coefficients w bytes apiece into one
+C and B are each evaluated at one point (Kronecker substitution, Kronecker
+1882; Schoenhage, "Asymptotically fast algorithms for the numerical
+multiplication and division of polynomials with complex coefficients",
+1982).  Their recurrences are written once over integers, at t = 2^s.  At
+s = 0 (t = 1) a recurrence gives the family total, which bounds every
+coefficient, since they are nonnegative counts; so w bytes a coefficient
+hold them all once 2^(8w) exceeds the total.  At s = 8w it gives one int
+whose w-byte digits are the coefficients, and one ``to_bytes`` call cuts it
+into them; no value in between is decoded.  Each term carries its power of
+1 + t = 1 + 2^s from level to level, and a factor 1 + 2^s is one shift and
+one add, so the only products left are by binomial coefficients.
+
+A stays on ``Polynomial``, whose product is one Kronecker substitution per
+multiplication: both factors are packed w bytes a coefficient into one
 Python int, the two ints are multiplied once (CPython uses Karatsuba at
 these sizes), and the product's w-byte digits are its coefficients.  The
 width w is chosen from an exact bound on the product's coefficients, so the
@@ -125,10 +135,14 @@ def _kronecker_product(a, b) -> list[int]:
     w = (bound.bit_length() + 8) // 8
     size = len(a) + len(b) - 1
     offset = int.from_bytes((bytes(w - 1) + b"\x80") * size, "little")
-    digits = (_pack(a, lo_a, w) * _pack(b, lo_b, w) + offset).to_bytes(w * size, "little")
-    half = 1 << (8 * w - 1)
+    return _digits(_pack(a, lo_a, w) * _pack(b, lo_b, w) + offset, w, size, 1 << (8 * w - 1))
+
+
+def _digits(value: int, w: int, size: int, bias: int = 0) -> list[int]:
+    """The first ``size`` w-byte digits of a nonnegative int, each less ``bias``."""
+    digits = value.to_bytes(w * size, "little")
     from_bytes = int.from_bytes  # bound once: looking it up per slot doubles the cost
-    return [from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
+    return [from_bytes(digits[i : i + w], "little") - bias for i in range(0, w * size, w)]
 
 
 def _pack(coeffs, lowest: int, w: int) -> int:
@@ -154,18 +168,42 @@ def one_plus_t_power(exponent: int) -> Polynomial:
     return Polynomial(tuple(math.comb(exponent, i) for i in range(exponent + 1)))
 
 
+def _at_one_point(value_at, n: int) -> list[int]:
+    """Coefficients of the polynomial in t whose value at t = 2^s is
+    ``value_at(n, s)``: the total at s = 0 (t = 1) fixes the width w, and
+    the value at s = 8w holds the coefficients as w-byte digits."""
+    w = (value_at(n, 0).bit_length() + 7) // 8
+    value = value_at(n, 8 * w)
+    return _digits(value, w, -(-value.bit_length() // (8 * w)))
+
+
+def _grow(c: int, e: int, s: int) -> int:
+    """c (1+t)^e at t = 2^s, by e shifts and adds."""
+    for _ in range(e):
+        c += c << s
+    return c
+
+
+def _edge_value(n: int, s: int) -> int:
+    """R_n of the source split at t = 2^s.  ``carried[m]`` holds
+    (1+t)^(m(k-m)) R_m at level k, so each level grows it by (1+t)^m."""
+    r, carried = 1, []
+    for k in range(1, n + 1):
+        carried.append(r)
+        for m, c in enumerate(carried):
+            carried[m] = _grow(c, m, s)  # in place: the old value goes at once
+        r = 0
+        for m, c in enumerate(carried):
+            term = math.comb(k, m) * c
+            r = r + term if (k - m) % 2 else r - term
+    return r
+
+
 def edge_polynomial(n: int) -> Polynomial:
     """Polynomial in t whose t^e coefficient counts labeled DAGs with e edges:
     R_n of the source split in the module docs."""
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    r = [Polynomial.one()]  # R_k: labeled DAGs on k vertices by edges
-    for k in range(1, n + 1):
-        acc = Polynomial.zero()
-        for j in range(1, k + 1):
-            term = math.comb(k, j) * one_plus_t_power(j * (k - j)) * r[k - j]
-            acc = acc + term if j % 2 else acc - term
-        r.append(acc)
-    return r[n]
+    return Polynomial(_at_one_point(_edge_value, n))
 
 
 def gf_edge_table(n: int) -> CoefficientTable:
@@ -174,6 +212,19 @@ def gf_edge_table(n: int) -> CoefficientTable:
     return CoefficientTable.from_counts(
         TypeSpec("C", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
     )
+
+
+def _reach_value(n: int, s: int) -> int:
+    """B_n of the reachability split at t = 2^s.  ``carried[j]`` holds
+    (1+t)^((k-j)(k-1)) g_j at level k, so level k grows it by
+    (1+t)^(2k-2-j), and B_n reads it grown by (1+t)^(n-1-j) more."""
+    carried, full = [], 1  # full: (1+t)^(k^2)
+    for k in range(n):
+        for j, c in enumerate(carried):
+            carried[j] = _grow(c, 2 * k - 2 - j, s)
+        carried.append(full - sum(math.comb(k, j) * c for j, c in enumerate(carried)))
+        full = _grow(full, 2 * k + 1, s)
+    return sum(math.comb(n - 1, j) * _grow(c, n - 1 - j, s) for j, c in enumerate(carried))
 
 
 def gf_reachability_table(n: int) -> CoefficientTable:
@@ -195,20 +246,8 @@ def gf_reachability_table(n: int) -> CoefficientTable:
         g_k = (1+t)^(k^2) - sum_(j<k) C(k,j) (1+t)^((k-j)(k-1)) g_j.
     """
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    # nearly every power here is read once, so caching them only holds memory
-    power = one_plus_t_power.__wrapped__
-    # g_k: digraphs on 1 plus k vertices, with no arc into 1, in which 1 reaches all k
-    g = [Polynomial.one()]
-    for k in range(1, n):
-        acc = power(k * k)
-        for j in range(k):
-            acc = acc - math.comb(k, j) * power((k - j) * (k - 1)) * g[j]
-        g.append(acc)
-    poly = Polynomial.zero()
-    for j in range(n):
-        poly = poly + math.comb(n - 1, j) * power((n - 1) * (n - 1 - j)) * g[j]
     return CoefficientTable.from_counts(
-        TypeSpec("B", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
+        TypeSpec("B", n), _at_one_point(_reach_value, n), ROUTE_GENERATING_FUNCTION
     )
 
 

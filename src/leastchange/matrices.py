@@ -1,9 +1,10 @@
 """Exact square matrices and the permanent/determinant primitives.
 
 Binary matrices are stored as row bitmasks (bit j-1 of row i holds entry
-(i, j)); rational matrices hold exact ``Fraction`` entries.  All public
-indices are 1-based.  Everything here is an immutable value, so every
-operation is pure and safe under any amount of concurrency.
+(i, j)); rational matrices hold exact ``Fraction`` entries.  ``fractions``
+loads where a Fraction is first made, so counting on binary layouts never
+loads it.  All public indices are 1-based.  Everything here is an immutable
+value, so every operation is pure and safe under any amount of concurrency.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial, reduce
 
 from .errors import DimensionError, PatternError
@@ -91,6 +91,8 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
+        from fractions import Fraction
+
         grid = tuple(tuple(Fraction(v) for v in row) for row in rows)
         return cls(len(grid), grid)
 
@@ -224,6 +226,8 @@ def determinant(matrix) -> Fraction:
     Rational entries are first scaled to integers by the lcm of their
     denominators; the scale comes back out as ``scale**n``.
     """
+    from fractions import Fraction
+
     scale, rows = _integer_rows(matrix)
     return Fraction(det_int(rows), scale**matrix.n)
 
@@ -235,6 +239,8 @@ def permanent(matrix) -> Fraction:
         raise DimensionError(
             f"permanent supports n = 1..{MAX_EXPANSION_DIMENSION}, got {matrix.n}"
         )
+    from fractions import Fraction
+
     scale, rows = _integer_rows(matrix)
     [value] = laplace([[row] for row in rows], signed=False)
     return Fraction(value, scale**matrix.n)

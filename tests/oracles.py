@@ -452,6 +452,41 @@ def reachability_by_series(n: int) -> Polynomial:
     return (e * reciprocal(d) * e).terms[n - 1]
 
 
+def edge_polynomial_by_recurrence(n: int) -> Polynomial:
+    """Family C's polynomial by the source split of ``genfunc`` in
+    ``Polynomial`` arithmetic, one product a term: the route that the
+    one-point evaluation replaced."""
+    check_reach(ROUTE_GENERATING_FUNCTION, n)
+    r = [Polynomial.one()]  # R_k: labeled DAGs on k vertices by edges
+    for k in range(1, n + 1):
+        acc = Polynomial.zero()
+        for j in range(1, k + 1):
+            term = math.comb(k, j) * one_plus_t_power(j * (k - j)) * r[k - j]
+            acc = acc + term if j % 2 else acc - term
+        r.append(acc)
+    return r[n]
+
+
+def reachability_by_recurrence(n: int) -> Polynomial:
+    """Family B's polynomial by the reachability split of ``genfunc`` in
+    ``Polynomial`` arithmetic, one product a term: the route that the
+    one-point evaluation replaced."""
+    check_reach(ROUTE_GENERATING_FUNCTION, n)
+    # nearly every power here is read once, so caching them only holds memory
+    power = one_plus_t_power.__wrapped__
+    # g_k: digraphs on 1 plus k vertices, with no arc into 1, in which 1 reaches all k
+    g = [Polynomial.one()]
+    for k in range(1, n):
+        acc = power(k * k)
+        for j in range(k):
+            acc = acc - math.comb(k, j) * power((k - j) * (k - 1)) * g[j]
+        g.append(acc)
+    poly = Polynomial.zero()
+    for j in range(n):
+        poly = poly + math.comb(n - 1, j) * power((n - 1) * (n - 1 - j)) * g[j]
+    return poly
+
+
 def schoolbook_product(p: Polynomial, q) -> Polynomial:
     """Polynomial product by the double loop over coefficient pairs."""
     q = _coerce(q)

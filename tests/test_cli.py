@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import typing
+from fractions import Fraction
 
 import pytest
 
@@ -211,6 +213,21 @@ class TestCurve:
             run(capsys, "curve", "--n", "2", "--step", step)
         assert exc.value.code == 2
         assert "--step" in capsys.readouterr().err
+
+    def test_grid_step_annotation_resolves(self):
+        # Fraction is no global of cli: it loads with the step it parses
+        hints = typing.get_type_hints(cli._grid_step)
+        assert hints == {"text": str, "return": Fraction}
+
+
+def test_every_cli_annotation_resolves():
+    functions = [
+        value for value in vars(cli).values()
+        if inspect.isfunction(value) and value.__module__ == cli.__name__
+    ]
+    assert cli._grid_step in functions
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 class TestLeast:

@@ -3,7 +3,9 @@
 No module of the package imports numpy, so no CLI command (``count`` on
 every route, ``curve``, ``least`` over an interval or a discrete set, every
 ``verify`` suite) and no public export loads it; the package loads its
-submodules on first access.  Every check runs in a new interpreter: this
+submodules on first access, and ``cli`` loads each command's modules in its
+handler, so ``count`` by enumeration loads no series, no probability, no
+``fractions`` and no ``json``.  Every check runs in a new interpreter: this
 test session imported numpy long ago.
 """
 
@@ -86,6 +88,30 @@ MAIN = "from leastchange.cli import main\n"
 )
 def test_numpy_is_not_loaded(code):
     assert not numpy_loaded_after(code)
+
+
+def loaded_after(code: str, modules) -> list[str]:
+    """Which of ``modules`` a new interpreter has loaded after running ``code``."""
+    probe = f"\nimport sys\nprint(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))"
+    return run_fresh(code + probe)[-1].split()
+
+
+NOT_FOR_COUNTING = ("leastchange.genfunc", "leastchange.probability", "fractions", "json")
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import leastchange.cli", MAIN + "assert main(['count', '--family', 'A', '--n', '5']) == 0"],
+    ids=["import-cli", "count-enumeration-A5"],
+)
+def test_counting_loads_no_series_probability_fractions_or_json(code):
+    assert loaded_after(code, NOT_FOR_COUNTING) == []
+
+
+def test_series_count_loads_no_probability():
+    code = MAIN + "assert main(['count', '--family', 'C', '--n', '6', '--route', 'gf']) == 0"
+    loaded = loaded_after(code, ("leastchange.genfunc", "leastchange.probability"))
+    assert loaded == ["leastchange.genfunc"]
 
 
 def test_probe_sees_numpy():

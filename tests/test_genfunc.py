@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
     WeightedSeries,
@@ -16,9 +16,11 @@ from oracles import (
     coefficient_at,
     coefficient_by_differentiation,
     derivative,
+    edge_polynomial_by_recurrence,
     edge_polynomial_by_series,
     edge_polynomials_by_sources,
     evaluate_polynomial,
+    reachability_by_recurrence,
     reachability_by_series,
     reciprocal,
     schoolbook_product,
@@ -128,17 +130,27 @@ class TestKroneckerProduct:
 
 
 class TestTablesUnderTheOracleProduct:
-    """Whole series tables with the schoolbook loop patched in as the product."""
+    """Whole series tables with the schoolbook loop patched in as the product.
+
+    C and B multiply no ``Polynomial``: they are evaluated at one point.  So
+    their ``Polynomial`` recurrences run under the patched product and are
+    held to the one-point tables; A runs its own solve under it.
+    """
 
     @pytest.mark.parametrize(
-        "series, n",
-        [(gf_edge_table, 24), (gf_reachability_table, 16), (gf_deficiency_table, 8)],
+        "series, n, product_route",
+        [
+            (gf_edge_table, 24, lambda n: edge_polynomial_by_recurrence(n).coefficients),
+            (gf_reachability_table, 16, lambda n: reachability_by_recurrence(n).coefficients),
+            (gf_deficiency_table, 8, lambda n: gf_deficiency_table(n).coeffs),
+        ],
+        ids=["gf_edge_table-24", "gf_reachability_table-16", "gf_deficiency_table-8"],
     )
-    def test_tables_equal_coefficient_for_coefficient(self, monkeypatch, series, n):
+    def test_tables_equal_coefficient_for_coefficient(self, monkeypatch, series, n, product_route):
         kernel = series(n).coeffs
         monkeypatch.setattr(Polynomial, "__mul__", schoolbook_product)
         monkeypatch.setattr(Polynomial, "__rmul__", schoolbook_product)
-        assert series(n).coeffs == kernel
+        assert product_route(n) == kernel
 
     def test_source_split_equals_the_series(self, monkeypatch):
         series = [gf_edge_table(n).coeffs for n in range(1, 9)]
@@ -163,6 +175,28 @@ class TestExplicitRecurrences:
         one_plus_t_power.cache_clear()
         gf_reachability_table(12)
         assert one_plus_t_power.cache_info().currsize == 0
+
+
+class TestOnePoint:
+    """C and B evaluated at t = 2^s, against their ``Polynomial`` recurrences."""
+
+    @given(st.lists(st.integers(0, 2**70), max_size=12).map(lambda c: c + [1]))
+    @example([255])  # totals on either side of a byte boundary
+    @example([255, 1])
+    @example([0, 0, 256])
+    def test_digits_are_the_coefficients(self, coeffs):
+        def value_at(n, s):
+            return sum(c << (s * i) for i, c in enumerate(coeffs))
+
+        assert genfunc._at_one_point(value_at, 0) == coeffs
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_c_equals_the_polynomial_recurrence(self, n):
+        assert edge_polynomial(n) == edge_polynomial_by_recurrence(n)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_b_equals_the_polynomial_recurrence(self, n):
+        assert gf_reachability_table(n).coeffs == reachability_by_recurrence(n).coefficients
 
 
 class TestBaseSeries:
