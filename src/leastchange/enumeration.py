@@ -83,7 +83,8 @@ def _row_dp(spec: TypeSpec, offsets: list[list[int]]) -> int:
     only the >= 1 plane."""
     n, target = spec.n, spec.target_permanent
     keep = -1 if target else 0
-    without = [sum(1 << s for s in range(1 << n) if not s >> j & 1) for j in range(n)]
+    full = (1 << (1 << n)) - 1
+    without = [full ^ p for p in _planes(n)]
     states = {(1, 0): 1}  # no rows yet: the 0x0 block, permanent 1
     for fixed, free, shifts in zip(spec.fixed_rows, spec.variable_rows, offsets):
         cols = [j for j in range(n) if free >> j & 1]

@@ -40,16 +40,20 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .matrices import TypeSpec
 from .tables import ROUTE_GENERATING_FUNCTION, CoefficientTable, check_reach
 
 
+@dataclass(frozen=True)
 class Polynomial:
-    """Dense one-variable polynomial with integer coefficients."""
+    """Dense one-variable polynomial with integer coefficients, trailing
+    zeros dropped."""
 
     __slots__ = ("coefficients",)
+    coefficients: tuple[int, ...]
 
     def __init__(self, coefficients=()):
         coeffs = list(map(operator.index, coefficients))
@@ -64,17 +68,6 @@ class Polynomial:
     @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coefficients == other.coefficients
-        if isinstance(other, int):
-            return self == Polynomial((other,))
-        return NotImplemented
 
     def __add__(self, other):
         other = _coerce(other)
@@ -105,19 +98,6 @@ class Polynomial:
         return Polynomial(_kronecker_product(a, b))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
 
 def _kronecker_product(a, b) -> list[int]:

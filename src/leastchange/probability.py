@@ -2,8 +2,12 @@
 
 With E(i) counting pertinent matrices that have exactly i one-valued
 variable elements, the probability is sum_i E(i) * r^i * (1-r)^(m-i).
-The weighted-power basis is the only representation (it is numerically
-stable on [0, 1]).  At r = p/q the value is N / q^m with the integer
+The weighted-power basis, counts by number of nonzeros, is the only form
+of such a sum anywhere in the package (it is numerically stable on
+[0, 1]); no polynomial in r is built.  The complement identity of
+``valuesets`` keeps counts too, and expands them in powers of r only to
+compare their sum with 1; the monomial form lives in the tests.  At
+r = p/q the value is N / q^m with the integer
 N = sum_i E(i) p^i (q-p)^(m-i), so exact evaluation is one Horner pass in
 integers and a single Fraction at the end.  Curves skip even that Fraction:
 a sample keeps P_A, P_B and P_C as integers over the common denominator

@@ -16,7 +16,8 @@ ROUTE_GENERATING_FUNCTION = "gf"
 # each route's name is also its command-line token and its JSON value
 ROUTES = (ROUTE_ENUMERATION, ROUTE_DAG_CENSUS, ROUTE_GENERATING_FUNCTION)
 
-# largest n each route reaches: 2^m counters, 3^C(n,2) pair states, series terms
+# largest n each route reaches: row-DP states (planes over the 2^n column
+# masks, equal ones merged), 3^C(n,2) pair states, series terms
 ROUTE_MAX_N = {ROUTE_ENUMERATION: 5, ROUTE_DAG_CENSUS: 6, ROUTE_GENERATING_FUNCTION: 24}
 
 

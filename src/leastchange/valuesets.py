@@ -43,7 +43,6 @@ from functools import cached_property, lru_cache
 
 from .enumeration import pertinent_bits
 from .errors import BudgetError
-from .genfunc import Polynomial
 from .matrices import (
     BinaryMatrix,
     RationalMatrix,
@@ -286,30 +285,29 @@ def complement_identity_check() -> ComplementReport:
     Continuous side: probability that det = 1, summed over pertinent support
     classes with weight r^i (1-r)^(m-i).  Discrete side: probability that
     det = 0, summed over the zeros of the spec's determinant array with cell
-    weights r or 1-r.  Their polynomial sum must be exactly 1.
+    weights r or 1-r.  Both sides are their members' numbers of nonzeros, and
+    the sum is linear in them, so the two lists together give the sum, whose
+    coefficients in powers of r must be exactly those of 1.
     """
     spec = TypeSpec("C", 2)
-    x_cnt = ValueSet.continuous(0, 1)
-
-    r = Polynomial.variable()
-    one_minus_r = Polynomial((1, -1))
-
-    cnt_poly = Polynomial.zero()
-    for i in attaining_matrices(spec, x_cnt).nonzeros:
-        cnt_poly = cnt_poly + r**i * one_minus_r ** (spec.m - i)
-
-    dis_poly = Polynomial.zero()
+    cnt = attaining_matrices(spec, ValueSet.continuous(0, 1)).nonzeros
     dets, nonzeros = _determinants(spec, [0, 1], 1)
-    for i in itertools.compress(nonzeros, map((0).__eq__, dets)):
-        dis_poly = dis_poly + r**i * one_minus_r ** (spec.m - i)
+    dis = tuple(itertools.compress(nonzeros, map((0).__eq__, dets)))
+    total = _monomial(cnt + dis, spec.m)
+    return ComplementReport(_monomial(cnt, spec.m), _monomial(dis, spec.m), total, total == (1,))
 
-    total = cnt_poly + dis_poly
-    return ComplementReport(
-        cnt_poly.coefficients,
-        dis_poly.coefficients,
-        total.coefficients,
-        total == Polynomial.one(),
-    )
+
+def _monomial(nonzeros, m: int) -> tuple[int, ...]:
+    """Coefficients of sum_i r^i (1-r)^(m-i) in powers of r, over ``nonzeros``
+    with repeats, by the binomial expansion of (1-r)^(m-i); trailing zeros
+    dropped."""
+    out = [0] * (m + 1)
+    for i in nonzeros:
+        for k in range(m - i + 1):
+            out[i + k] += (-1) ** k * math.comb(m - i, k)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def counterexample_report() -> CheckReport:

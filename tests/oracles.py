@@ -372,7 +372,44 @@ def discrete_scan_loop(spec, xset) -> AttainingSet:
     return attaining
 
 
+def complement_by_polynomials() -> tuple:
+    """The C2 complement identity in ``Polynomial`` arithmetic, from the
+    definitions: each 0/1 assignment weighs the product over its variable
+    cells of r for a one and 1 - r for a zero; the continuous side sums the
+    pertinent assignments, the discrete side those with det 0.  The four
+    fields of ``valuesets.ComplementReport``, in its order."""
+    spec = TypeSpec("C", 2)
+    r, one_minus_r = Polynomial((0, 1)), Polynomial((1, -1))
+    cnt = dis = Polynomial.zero()
+    for counter in range(1 << spec.m):
+        member = assignment_matrix(spec, (0, 1), counter)
+        weight = Polynomial.one()
+        for i, j in spec.variable_positions:
+            weight = weight * (r if member.entries[i - 1][j - 1] else one_minus_r)
+        if permanent_expansion(member) == spec.target_permanent:
+            cnt = cnt + weight
+        if determinant_expansion(member) == 0:
+            dis = dis + weight
+    total = cnt + dis
+    return cnt.coefficients, dis.coefficients, total.coefficients, total == Polynomial.one()
+
+
+def power_sum_by_polynomials(nonzeros, m: int) -> Polynomial:
+    """sum_i r^i (1-r)^(m-i) over ``nonzeros`` with repeats, by products."""
+    r, one_minus_r = Polynomial((0, 1)), Polynomial((1, -1))
+    terms = (polynomial_power(r, i) * polynomial_power(one_minus_r, m - i) for i in nonzeros)
+    return sum(terms, Polynomial.zero())
+
+
 # --- genfunc ---------------------------------------------------------------
+
+
+def polynomial_power(base: Polynomial, exponent: int) -> Polynomial:
+    """base^exponent as exponent products, one factor at a time."""
+    result = Polynomial.one()
+    for _ in range(exponent):
+        result = result * base
+    return result
 
 
 class WeightedSeries:
@@ -687,7 +724,7 @@ def edge_polynomials_by_sources(n_max: int) -> list[Polynomial]:
             hit = one_plus_t_power(k) - 1
             acc = Polynomial.zero()
             for j, rest in a[n - k].items():
-                acc = acc + rest * hit**j * one_plus_t_power(k * (n - k - j))
+                acc = acc + rest * polynomial_power(hit, j) * one_plus_t_power(k * (n - k - j))
             row[k] = math.comb(n, k) * acc
         a.append(row)
     return [sum(row.values(), Polynomial.zero()) for row in a]

@@ -5,7 +5,8 @@ every route, ``curve``, ``least`` over an interval or a discrete set, every
 ``verify`` suite) and no public export loads it; the package loads its
 submodules on first access, and ``cli`` loads each command's modules in its
 handler, so ``count`` by enumeration loads no series, no probability, no
-``fractions`` and no ``json``.  Every check runs in a new interpreter: this
+``fractions`` and no ``json``, and no scan over a discrete value set loads
+the series.  Every check runs in a new interpreter: this
 test session imported numpy long ago.
 """
 
@@ -112,6 +113,26 @@ def test_series_count_loads_no_probability():
     code = MAIN + "assert main(['count', '--family', 'C', '--n', '6', '--route', 'gf']) == 0"
     loaded = loaded_after(code, ("leastchange.genfunc", "leastchange.probability"))
     assert loaded == ["leastchange.genfunc"]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        MAIN + "assert main(['least', '--family', 'C', '--n', '4', '--values', '0,1']) == 0",
+        MAIN + "assert main(['least', '--family', 'A', '--n', '3', '--values', '0,1/2,1,2']) == 0",
+        MAIN + "assert main(['verify', 'witnesses']) == 0",
+        MAIN + "assert main(['verify', 'inclusion']) == 0",
+        MAIN + "assert main(['verify', 'complement']) == 0",
+        "import leastchange\nassert leastchange.complement_identity_check().ok",
+    ],
+    ids=[
+        "least-discrete-C4", "least-discrete-A3", "verify-witnesses", "verify-inclusion",
+        "verify-complement", "library-complement",
+    ],
+)
+def test_value_set_scans_load_no_series(code):
+    # the complement identity reads nonzero counts, not polynomials
+    assert loaded_after(code, ("leastchange.genfunc",)) == []
 
 
 def test_probe_sees_numpy():

@@ -20,6 +20,7 @@ from oracles import (
     edge_polynomial_by_series,
     edge_polynomials_by_sources,
     evaluate_polynomial,
+    polynomial_power,
     reachability_by_recurrence,
     reachability_by_series,
     reciprocal,
@@ -59,7 +60,8 @@ class TestPolynomial:
         assert (p + Polynomial((0, 0, 3))).coefficients == (1, 1, 3)
         assert (p - p) == Polynomial.zero()
         assert (2 * p).coefficients == (2, 2)
-        assert (p**3).coefficients == (1, 3, 3, 1)
+        assert polynomial_power(p, 3).coefficients == (1, 3, 3, 1)
+        assert polynomial_power(p, 0) == Polynomial.one()
 
     def test_evaluate(self):
         p = Polynomial((1, 0, -1))
@@ -77,6 +79,15 @@ class TestPolynomial:
         p = Polynomial((np.int64(3), 1))
         assert p.coefficients == (3, 1)
         assert all(type(c) is int for c in p.coefficients)
+
+    def test_value_semantics(self):
+        # a frozen value: equal coefficients compare and hash equal, and an
+        # int is not a polynomial
+        assert Polynomial((1, 2, 0)) == Polynomial((1, 2))
+        assert hash(Polynomial((1, 2, 0))) == hash(Polynomial((1, 2)))
+        assert Polynomial((3,)) != 3
+        with pytest.raises(AttributeError):
+            Polynomial((1,)).coefficients = (2,)
 
     def test_one_plus_t_power(self):
         assert one_plus_t_power(0) == Polynomial((1,))
@@ -390,7 +401,7 @@ class TestZeroPermanentSeries:
         real = genfunc.one_plus_t_power
 
         def broken(exponent):
-            return real(exponent) + (Polynomial.variable() if exponent == 0 else 0)
+            return real(exponent) + (Polynomial((0, 1)) if exponent == 0 else 0)
 
         monkeypatch.setattr(genfunc, "one_plus_t_power", broken)
         with pytest.raises(RuntimeError, match="surplus at 2x1"):

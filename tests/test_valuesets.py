@@ -3,15 +3,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
     assignment_counter,
     assignment_matrix,
+    complement_by_polynomials,
     discrete_scan_loop,
     identity_matrix,
     nonzero_cells,
     permanent_expansion,
+    power_sum_by_polynomials,
     zero_matrix,
 )
 
@@ -472,6 +474,11 @@ class TestInclusion:
             )
 
 
+nonzeros_up_to_12 = st.integers(0, 12).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m), max_size=30))
+)
+
+
 class TestComplementIdentity:
     def test_exact_polynomial_identity(self):
         report = complement_identity_check()
@@ -479,6 +486,19 @@ class TestComplementIdentity:
         assert report.continuous_coeffs == (1, 0, -1)
         assert report.discrete_coeffs == (0, 0, 1)
         assert report.sum_coeffs == (1,)
+
+    def test_every_field_equals_the_polynomial_oracle(self):
+        report = complement_identity_check()
+        fields = (report.continuous_coeffs, report.discrete_coeffs, report.sum_coeffs, report.ok)
+        assert fields == complement_by_polynomials()
+
+    @given(nonzeros_up_to_12)
+    @example((3, [0, 1, 1, 1, 2, 2, 2, 3]))  # each i C(3, i) times: all 2^3 weights, sum 1
+    @example((4, []))  # no term: ()
+    def test_binomial_sum_equals_the_polynomial_products(self, case):
+        m, nonzeros = case
+        expected = power_sum_by_polynomials(nonzeros, m).coefficients
+        assert valuesets._monomial(nonzeros, m) == expected
 
 
 class TestCounterexampleReport:
