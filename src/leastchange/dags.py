@@ -13,28 +13,27 @@ library; ``is_acyclic`` runs it on one graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 
-from .matrices import TypeSpec
+from .matrices import TypeSpec, _Record
 from .tables import ROUTE_DAG_CENSUS, CoefficientTable, check_reach
 
 LOW_DIGITS = 10  # pair digits per plane in the census
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Record):
     """Loop-free digraph on vertices 1..n; edges are ordered pairs."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        for k, l in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        for k, l in edges:
             if k == l:
                 raise ValueError(f"loop ({k}, {k}) not allowed")
-            if not (1 <= k <= self.n and 1 <= l <= self.n):
-                raise ValueError(f"edge ({k}, {l}) outside vertex range 1..{self.n}")
+            if not (1 <= k <= n and 1 <= l <= n):
+                raise ValueError(f"edge ({k}, {l}) outside vertex range 1..{n}")
+        super().__init__(n, edges)
 
 
 def is_acyclic(digraph: Digraph) -> bool:

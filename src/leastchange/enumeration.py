@@ -75,44 +75,50 @@ def _row_dp(spec: TypeSpec, offsets: list[list[int]]) -> int:
     """Sum of the tallies of the states whose permanent is the target, where
     choice s of row i moves a state's tally up ``offsets[i][s]`` bits.
 
-    A state is the pair of planes (>= 1, >= 2) of the permanent of the rows
-    so far on every column mask.  A row covering column j adds the permanents
-    on S - {j} to S, a shift of the masks without j by 2^j; its 2^w choices
-    of variable cells grow from its fixed cells one lowest bit at a time.
-    Equal states merge, summing their tallies.  A and B (target 0) carry
-    only the >= 1 plane."""
-    n, target = spec.n, spec.target_permanent
-    keep = -1 if target else 0
-    full = (1 << (1 << n)) - 1
-    without = [full ^ p for p in _planes(n)]
-    states = {(1, 0): 1}  # no rows yet: the 0x0 block, permanent 1
+    A state is one int: the plane >= 1 of the permanent of the rows so far
+    on every column mask, with the plane >= 2 shifted above it.  A row
+    covering column j adds the permanents on S - {j} to S, one shift of both
+    planes' masks without j by 2^j; its 2^w choices of variable cells grow
+    from its fixed cells one lowest bit at a time.  Equal states merge,
+    summing their tallies.  A and B (target 0) never carry into the >= 2
+    plane, so their states are the >= 1 plane alone."""
+    n, size, target = spec.n, 1 << spec.n, spec.target_permanent
+    low = (1 << size) - 1
+    carry = low if target else 0
+    without = [(low ^ p) | (low ^ p) << size for p in _planes(n)]
+    # tallies bound for one state at one offset are summed before the shift:
+    # one shift per pair, not per choice of every earlier state
+    sums = {(1, 0): 1}  # no rows yet: the 0x0 block, permanent 1
     for fixed, free, shifts in zip(spec.fixed_rows, spec.variable_rows, offsets):
+        states: dict[int, int] = {}
+        for (state, shift), tally in sums.items():
+            states[state] = states.get(state, 0) + (tally << shift)
         cols = [j for j in range(n) if free >> j & 1]
-        # tallies bound for one state at one offset are summed before the
-        # shift: one shift per pair, not per choice of every earlier state
-        sums: dict[tuple[tuple[int, int], int], int] = {}
-        for (one, two), tally in states.items():
-            steps = [((one & w) << (1 << j), (two & w) << (1 << j)) for j, w in enumerate(without)]
-            a = b = 0
+        sums = {}
+        for state, tally in states.items():
+            steps = [(state & w) << (1 << j) for j, w in enumerate(without)]
+            a = 0
             for j in range(n):
                 if fixed >> j & 1:
-                    c, d = steps[j]
-                    a, b = a | c, (b | d | a & c) & keep
+                    c = steps[j]
+                    a = a | c | (a & c & carry) << size
             # the saturating add of one more covered column, inline: a call
             # per choice would double the time
-            choices = [(a, b)]
+            choices = [a]
             for s in range(1, 1 << len(cols)):
-                low = s & -s
-                (a, b), (c, d) = choices[s ^ low], steps[cols[low.bit_length() - 1]]
-                choices.append((a | c, (b | d | a & c) & keep))
+                bit = s & -s
+                a, c = choices[s ^ bit], steps[cols[bit.bit_length() - 1]]
+                choices.append(a | c | (a & c & carry) << size)
             for slot in zip(choices, shifts):
                 sums[slot] = sums.get(slot, 0) + tally
-        states = {}
-        for (key, shift), tally in sums.items():
-            states[key] = states.get(key, 0) + (tally << shift)
-    # after n rows only the full mask is left: (one > 0) + (two > 0) is its
-    # permanent, clipped at 2
-    return sum(t for (one, two), t in states.items() if (one > 0) + (two > 0) == target)
+    # after n rows only the full mask is left: (state > 0) + (state >> size
+    # > 0) is its permanent, clipped at 2; the other states' tallies are
+    # never shifted
+    return sum(
+        tally << shift
+        for (state, shift), tally in sums.items()
+        if (state > 0) + (state >> size > 0) == target
+    )
 
 
 def _planes(bits: int) -> list[int]:

@@ -40,15 +40,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import TypeSpec
+from .matrices import TypeSpec, _Record
 from .tables import ROUTE_GENERATING_FUNCTION, CoefficientTable, check_reach
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Dense one-variable polynomial with integer coefficients, trailing
     zeros dropped."""
 
@@ -59,7 +57,7 @@ class Polynomial:
         coeffs = list(map(operator.index, coefficients))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        super().__init__(tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "Polynomial":

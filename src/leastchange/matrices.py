@@ -5,6 +5,11 @@ Binary matrices are stored as row bitmasks (bit j-1 of row i holds entry
 loads where a Fraction is first made, so counting on binary layouts never
 loads it.  All public indices are 1-based.  Everything here is an immutable
 value, so every operation is pure and safe under any amount of concurrency.
+
+The records here, and those of ``tables``, ``dags`` and ``genfunc``, are
+frozen through ``_Record``, not ``@dataclass``: that import, which loads
+``inspect``, and its code generation per class took about 10 ms of a 70 ms
+``count`` (2-core VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
 from .errors import DimensionError, PatternError
@@ -25,22 +29,62 @@ MAX_EXPANSION_DIMENSION = 8
 FAMILIES = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class _Record:
+    """Base of a frozen record, as ``@dataclass(frozen=True)`` makes one.
+
+    A subclass annotates its fields in order and writes an ``__init__`` that
+    validates its arguments and hands them to this one.  Records compare
+    equal only within one class, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)`` and refuse every assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__annotations__)  # the field names
+
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BinaryMatrix(_Record):
     """Square 0/1 matrix; ``rows[i]`` is the bitmask of row i+1."""
 
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise DimensionError(f"dimension {self.n} outside 1..{MAX_DIMENSION}")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for r in self.rows:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if not 1 <= n <= MAX_DIMENSION:
+            raise DimensionError(f"dimension {n} outside 1..{MAX_DIMENSION}")
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        full = (1 << n) - 1
+        for r in rows:
             if r < 0 or r & ~full:
-                raise ValueError(f"row mask {r:#x} has bits outside {self.n} columns")
+                raise ValueError(f"row mask {r:#x} has bits outside {n} columns")
+        super().__init__(n, rows)
 
     @classmethod
     def from_rows(cls, rows) -> "BinaryMatrix":
@@ -76,18 +120,18 @@ class BinaryMatrix:
         return "\n".join(" ".join(str(v) for v in row) for row in self.to_lists())
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(_Record):
     """Square matrix of exact rationals."""
 
     n: int
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError(f"dimension {self.n} must be positive")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+    def __init__(self, n: int, entries: tuple[tuple[Fraction, ...], ...]):
+        if n < 1:
+            raise DimensionError(f"dimension {n} must be positive")
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError("entries must form an n-by-n grid")
+        super().__init__(n, entries)
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
@@ -100,8 +144,7 @@ class RationalMatrix:
         return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class TypeSpec:
+class TypeSpec(_Record):
     """One of the three matrix families at a fixed dimension.
 
     Family A: every element is variable.  Family B: unit diagonal except
@@ -119,11 +162,12 @@ class TypeSpec:
     family: str
     n: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise DimensionError(f"dimension {self.n} outside 1..{MAX_DIMENSION}")
+    def __init__(self, family: str, n: int):
+        if family not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        if not 1 <= n <= MAX_DIMENSION:
+            raise DimensionError(f"dimension {n} outside 1..{MAX_DIMENSION}")
+        super().__init__(family, n)
 
     @cached_property
     def variable_rows(self) -> tuple[int, ...]:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import DimensionError
-from .matrices import TypeSpec
+from .matrices import TypeSpec, _Record
 
 ROUTE_ENUMERATION = "enumeration"
 ROUTE_DAG_CENSUS = "dag"
@@ -27,8 +26,7 @@ def check_reach(route: str, n: int) -> None:
         raise DimensionError(f"route {route} supports n = 1..{ROUTE_MAX_N[route]}, got {n}")
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(_Record):
     """Counts of pertinent matrices with exactly i one-valued variable cells.
 
     ``coeffs[i]`` covers i = 0 .. spec.i_max; ``route`` records which of the
@@ -39,6 +37,29 @@ class CoefficientTable:
     spec: TypeSpec
     coeffs: tuple[int, ...]
     route: str
+
+    def __init__(self, spec: TypeSpec, coeffs: tuple[int, ...], route: str):
+        if route not in ROUTES:
+            raise ValueError(f"unknown route {route!r}")
+        if len(coeffs) != spec.i_max + 1:
+            raise ValueError(
+                f"expected {spec.i_max + 1} coefficients for {spec.family}_{spec.n}, "
+                f"got {len(coeffs)}"
+            )
+        if any(c < 0 for c in coeffs):
+            raise ValueError("coefficients must be non-negative")
+        if coeffs[0] != 1:
+            raise ValueError("the all-zeros assignment is always pertinent")
+        # The count at i_max is forced: 2n candidate zero lines for family A,
+        # 2 for family B (row 1 or column 1), a single one when n = 1, and
+        # n! transitive tournaments for family C.
+        if spec.family == "C":
+            expected = math.factorial(spec.n)
+        else:
+            expected = 1 if spec.n == 1 else (2 * spec.n if spec.family == "A" else 2)
+        if coeffs[-1] != expected:
+            raise ValueError(f"family {spec.family} must end with {expected}, got {coeffs[-1]}")
+        super().__init__(spec, coeffs, route)
 
     @classmethod
     def from_counts(cls, spec: TypeSpec, counts, route: str) -> "CoefficientTable":
@@ -55,31 +76,6 @@ class CoefficientTable:
                 f"ones for {spec.family}_{spec.n}"
             )
         return cls(spec, tuple(coeffs[: spec.i_max + 1]), route)
-
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
-        spec = self.spec
-        if len(self.coeffs) != spec.i_max + 1:
-            raise ValueError(
-                f"expected {spec.i_max + 1} coefficients for {spec.family}_{spec.n}, "
-                f"got {len(self.coeffs)}"
-            )
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError("coefficients must be non-negative")
-        if self.coeffs[0] != 1:
-            raise ValueError("the all-zeros assignment is always pertinent")
-        # The count at i_max is forced: 2n candidate zero lines for family A,
-        # 2 for family B (row 1 or column 1), a single one when n = 1, and
-        # n! transitive tournaments for family C.
-        if spec.family == "C":
-            expected = math.factorial(spec.n)
-        else:
-            expected = 1 if spec.n == 1 else (2 * spec.n if spec.family == "A" else 2)
-        if self.coeffs[-1] != expected:
-            raise ValueError(
-                f"family {spec.family} must end with {expected}, got {self.coeffs[-1]}"
-            )
 
     @property
     def total(self) -> int:

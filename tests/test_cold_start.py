@@ -5,9 +5,9 @@ every route, ``curve``, ``least`` over an interval or a discrete set, every
 ``verify`` suite) and no public export loads it; the package loads its
 submodules on first access, and ``cli`` loads each command's modules in its
 handler, so ``count`` by enumeration loads no series, no probability, no
-``fractions`` and no ``json``, and no scan over a discrete value set loads
-the series.  Every check runs in a new interpreter: this
-test session imported numpy long ago.
+``fractions`` and no ``json``, no ``count`` route loads ``dataclasses`` or
+``inspect``, and no scan over a discrete value set loads the series.  Every
+check runs in a new interpreter: this test session imported numpy long ago.
 """
 
 import os
@@ -97,7 +97,9 @@ def loaded_after(code: str, modules) -> list[str]:
     return run_fresh(code + probe)[-1].split()
 
 
-NOT_FOR_COUNTING = ("leastchange.genfunc", "leastchange.probability", "fractions", "json")
+NOT_FOR_COUNTING = (
+    "leastchange.genfunc", "leastchange.probability", "fractions", "json", "dataclasses", "inspect",
+)
 
 
 @pytest.mark.parametrize(
@@ -107,6 +109,21 @@ NOT_FOR_COUNTING = ("leastchange.genfunc", "leastchange.probability", "fractions
 )
 def test_counting_loads_no_series_probability_fractions_or_json(code):
     assert loaded_after(code, NOT_FOR_COUNTING) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        MAIN + "assert main(['count', '--family', 'C', '--n', '6', '--route', 'dag']) == 0",
+        MAIN + "assert main(['count', '--family', 'C', '--n', '24', '--route', 'gf']) == 0",
+        MAIN + "assert main(['count', '--family', 'C', '--n', '5', '--route', 'all']) == 0",
+    ],
+    ids=["count-dag-C6", "count-gf-C24", "count-all-C5"],
+)
+def test_every_count_route_loads_no_dataclasses(code):
+    # the counting path's records are frozen without dataclasses, which
+    # imports inspect
+    assert loaded_after(code, ("dataclasses", "inspect")) == []
 
 
 def test_series_count_loads_no_probability():

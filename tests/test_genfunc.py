@@ -88,6 +88,9 @@ class TestPolynomial:
         assert Polynomial((3,)) != 3
         with pytest.raises(AttributeError):
             Polynomial((1,)).coefficients = (2,)
+        # slots only, and the keyword form normalizes too
+        assert not hasattr(Polynomial((1,)), "__dict__")
+        assert Polynomial(coefficients=[1, 2, 0]) == Polynomial((1, 2))
 
     def test_one_plus_t_power(self):
         assert one_plus_t_power(0) == Polynomial((1,))
@@ -434,6 +437,13 @@ def assert_ends(ends, counts):
     assert {i: counts[i] for i in ends} == ends
 
 
+@functools.cache
+def series_coeffs(family: str, n: int) -> tuple[int, ...]:
+    """One series table per family and n, solved once for the tests that
+    read every table to n = 16."""
+    return series_table(TypeSpec(family, n)).coeffs
+
+
 class TestEndCoefficients:
     """The proven end coefficients against the counted rows and the series."""
 
@@ -460,7 +470,7 @@ class TestEndCoefficients:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_a_series(self, n):
-        assert_ends(a_end_coefficients(n), gf_deficiency_table(n).coeffs)
+        assert_ends(a_end_coefficients(n), series_coeffs("A", n))
 
     @pytest.mark.parametrize("n", range(3, 17))
     def test_b_series(self, n):
@@ -494,15 +504,40 @@ class TestCrossFamilyDominance:
     B pattern with x_11 = 0, and a pertinent B pattern is a zero-permanent A
     pattern whose fixed diagonal adds n - 1 ones."""
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_on_the_series(self, n):
-        a, b, c = (series_table(TypeSpec(family, n)).coeffs for family in "ABC")
+        a, b, c = (series_coeffs(family, n) for family in "ABC")
         for i in range(n * n - n + 2):
             assert entry(c, i) <= entry(b, i) <= entry(a, i + n - 1)
 
 
 def value_at_minus_one(counts) -> int:
     return sum(-c if i % 2 else c for i, c in enumerate(counts))
+
+
+def a_at_minus_one(n: int) -> int:
+    """E_A(-1) = 1 for every n >= 1.
+
+    Let U be the edge sets of K_(n,n) that contain a perfect matching; a
+    zero-permanent pattern is a set outside U.  The sum of (-1)^|S| over all
+    S is 0, so E_A(-1) = -sum_(S in U) (-1)^|S|.  Let L be the lattice of
+    unions of perfect matchings, ordered by inclusion, with the empty set at
+    the bottom and all n^2 edges at the top.  Every edge set S has a
+    largest member of L below it, the union of the matchings inside S, which
+    is empty exactly when S lies outside U; so Moebius inversion over L
+    (Rota, "On the foundations of combinatorial theory I", 1964) gives
+    sum_(S in U) (-1)^|S| = -(-1)^(n^2) mu_L(empty, top).
+
+    L is the face lattice of the Birkhoff polytope B_n, since a face is
+    fixed by the cells it forces to zero (Brualdi & Gibson, "Convex
+    polyhedra of doubly stochastic matrices I", JCT A 1977; Billera &
+    Sarangarajan 1996).  A polytope's face lattice is Eulerian (Ziegler,
+    *Lectures on Polytopes*, section 8), and dim B_n = (n-1)^2, so
+    mu_L(empty, top) = (-1)^((n-1)^2 + 1).  Hence
+    sum_(S in U) (-1)^|S| = (-1)^(n^2 + (n-1)^2) = -1, as n^2 + (n-1)^2 is
+    odd, and E_A(-1) = 1.  At n = 1, B_1 is a point and mu = -1.
+    """
+    return 1
 
 
 def b_at_minus_one(n: int) -> int:
@@ -512,9 +547,13 @@ def b_at_minus_one(n: int) -> int:
 class TestValuesAtMinusOne:
     """E(-1), the alternating sum of a table.  C and B follow from their own
     recurrences at t = -1, where every (1+t)^k with k > 0 vanishes, so they
-    check the kernel and the table assembly.  E_A(-1) = 1 says the complex
-    of zero-permanent patterns has reduced Euler characteristic -1, which is
-    unproven here, so it is held only where A is counted."""
+    check the kernel and the table assembly; A's value is proven in
+    ``a_at_minus_one``, and its series check, like theirs, checks the kernel
+    and the decoding, not the derivation."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_a_series(self, n):
+        assert value_at_minus_one(series_coeffs("A", n)) == a_at_minus_one(n)
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_c_series(self, n):
@@ -527,12 +566,12 @@ class TestValuesAtMinusOne:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_reference_rows(self, n):
         rows = REFERENCE_COUNTS
-        assert value_at_minus_one(rows["A"][n]) == 1
+        assert value_at_minus_one(rows["A"][n]) == a_at_minus_one(n)
         assert value_at_minus_one(rows["B"][n]) == b_at_minus_one(n)
         assert value_at_minus_one(rows["C"][n]) == (-1) ** (n + 1)
 
     def test_counted_at_6(self):
-        assert value_at_minus_one(counted_at_6("A")) == 1
+        assert value_at_minus_one(counted_at_6("A")) == a_at_minus_one(6)
         assert value_at_minus_one(counted_at_6("B")) == 0
         assert value_at_minus_one(counted_at_6("C")) == -1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +17,10 @@ from oracles import (
 
 from leastchange import (
     BinaryMatrix,
+    CoefficientTable,
+    Digraph,
     DimensionError,
+    Polynomial,
     RationalMatrix,
     TypeSpec,
     determinant,
@@ -107,6 +111,12 @@ class TestTypeSpec:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             TypeSpec("D", 2)
+
+    def test_layout_is_computed_once(self):
+        # cached per spec, outside the fields: equality and hash ignore it
+        spec = TypeSpec("B", 3)
+        assert spec.variable_rows is spec.variable_rows
+        assert spec == TypeSpec("B", 3) and hash(spec) == hash(TypeSpec("B", 3))
 
 
 class TestPermanent:
@@ -284,3 +294,101 @@ class TestSupport:
         m = BinaryMatrix.from_rows([[1, 0], [1, 1]])
         assert support(m.to_rational()) == m
         assert support(m) is m
+
+
+# Each frozen record of the counting path: its fields in order, and every
+# validation error it raises, as (bad fields, exception type, message).
+RECORDS = [
+    (
+        BinaryMatrix,
+        {"n": 2, "rows": (1, 2)},
+        [
+            ((0, ()), DimensionError, "dimension 0 outside 1..30"),
+            ((2, (1,)), ValueError, "expected 2 rows, got 1"),
+            ((2, (4, 0)), ValueError, "row mask 0x4 has bits outside 2 columns"),
+        ],
+    ),
+    (
+        RationalMatrix,
+        {"n": 1, "entries": ((Fraction(1, 2),),)},
+        [
+            ((0, ()), DimensionError, "dimension 0 must be positive"),
+            ((2, ((1, 2),)), ValueError, "entries must form an n-by-n grid"),
+        ],
+    ),
+    (
+        TypeSpec,
+        {"family": "B", "n": 3},
+        [
+            (("D", 2), ValueError, "family must be one of ('A', 'B', 'C'), got 'D'"),
+            (("A", 31), DimensionError, "dimension 31 outside 1..30"),
+        ],
+    ),
+    (
+        CoefficientTable,
+        {"spec": TypeSpec("C", 2), "coeffs": (1, 2), "route": "gf"},
+        [
+            ((TypeSpec("C", 2), (1, 2), "walk"), ValueError, "unknown route 'walk'"),
+            ((TypeSpec("C", 2), (1,), "gf"), ValueError, "expected 2 coefficients for C_2, got 1"),
+            ((TypeSpec("C", 2), (1, -2), "gf"), ValueError, "coefficients must be non-negative"),
+            (
+                (TypeSpec("C", 2), (2, 2), "gf"),
+                ValueError,
+                "the all-zeros assignment is always pertinent",
+            ),
+            ((TypeSpec("C", 2), (1, 3), "gf"), ValueError, "family C must end with 2, got 3"),
+        ],
+    ),
+    (
+        Digraph,
+        {"n": 2, "edges": frozenset({(1, 2)})},
+        [
+            ((2, frozenset({(1, 1)})), ValueError, "loop (1, 1) not allowed"),
+            ((2, frozenset({(1, 3)})), ValueError, "edge (1, 3) outside vertex range 1..2"),
+        ],
+    ),
+    (
+        Polynomial,
+        {"coefficients": (1, 2)},
+        [
+            (
+                ((Fraction(1, 2),),),
+                TypeError,
+                "'Fraction' object cannot be interpreted as an integer",
+            ),
+        ],
+    ),
+]
+
+
+def refusals(record, name: str) -> list[str]:
+    """The AttributeError messages of assigning and of deleting ``name``."""
+    messages = []
+    for refused in (lambda: setattr(record, name, 0), lambda: delattr(record, name)):
+        with pytest.raises(AttributeError) as info:
+            refused()
+        messages.append(str(info.value))
+    return messages
+
+
+@pytest.mark.parametrize(
+    "cls, fields, invalid", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+def test_frozen_record_semantics(cls, fields, invalid):
+    # the oracle: the same fields under @dataclass(frozen=True)
+    twin = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)(**fields)
+    record = cls(*fields.values())
+    assert cls(**fields) == record
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    assert repr(record) == repr(twin)
+    assert hash(record) == hash(twin) == hash(tuple(fields.values()))
+    # equal only within one class
+    assert record.__eq__(twin) is NotImplemented and record != twin
+    assert record.__eq__(tuple(fields.values())) is NotImplemented
+    for name in [*fields, "other"]:
+        assert refusals(record, name) == refusals(twin, name)
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    for values, error, message in invalid:
+        with pytest.raises(error) as info:
+            cls(*values)
+        assert info.type is error and str(info.value) == message

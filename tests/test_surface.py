@@ -14,8 +14,11 @@ from test_cold_start import ROOT, run_fresh
 ALLOWED = {
     "__init__.__dir__": "dir(leastchange) lists the lazy exports; no command lists names",
     "dags.is_acyclic": "perfbench/trace_op.py TRACED wraps it; leaves src when that list drops it",
-    "dags.Digraph.__post_init__": "checks the Digraph that is_acyclic reads; goes with it",
+    "dags.Digraph.__init__": "checks the Digraph that is_acyclic reads; goes with it",
     "enumeration.has_perfect_matching": "perfbench/trace_op.py TRACED wraps it; leaves with it",
+    "matrices._Record.__repr__": "a record's repr, as @dataclass writes it; no command prints one",
+    "matrices._Record.__setattr__": "refuses assignment to a frozen record; no command tries one",
+    "matrices._Record.__delattr__": "refuses deletion from a frozen record; no command tries one",
     "valuesets.AttainingSet.partition": "perfbench/trace_op.py TRACED wraps it; leaves with it",
 }
 
