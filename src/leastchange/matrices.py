@@ -6,10 +6,11 @@ loads where a Fraction is first made, so counting on binary layouts never
 loads it.  All public indices are 1-based.  Everything here is an immutable
 value, so every operation is pure and safe under any amount of concurrency.
 
-The records here, and those of ``tables``, ``dags`` and ``genfunc``, are
-frozen through ``_Record``, not ``@dataclass``: that import, which loads
-``inspect``, and its code generation per class took about 10 ms of a 70 ms
-``count`` (2-core VM, Python 3.11).
+Every record of the package, here and in ``tables``, ``dags``, ``genfunc``,
+``probability``, ``values`` and ``valuesets``, is frozen through
+``_Record``, not ``@dataclass``: that import, which loads ``inspect``, and
+its code generation per class took about 10 ms of a 70 ms ``count`` and
+7-9 ms of each ``curve``, ``least`` and ``verify`` (2-core VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -28,24 +29,58 @@ MAX_EXPANSION_DIMENSION = 8
 
 FAMILIES = ("A", "B", "C")
 
+_store = object.__setattr__  # a record's fields are set past its own __setattr__
+
 
 class _Record:
     """Base of a frozen record, as ``@dataclass(frozen=True)`` makes one.
 
-    A subclass annotates its fields in order and writes an ``__init__`` that
-    validates its arguments and hands them to this one.  Records compare
-    equal only within one class, hash as the tuple of their fields, print as
-    ``Name(field=value, ...)`` and refuse every assignment and deletion.
+    A subclass annotates its fields in order; a class attribute named like a
+    field is that field's default.  Its records are built as a dataclass
+    builds them, by position or keyword, unless it writes an ``__init__``
+    that validates its arguments and hands them to this one by position.
+    Records compare equal only within one class, hash as the tuple of their
+    fields, print as ``Name(field=value, ...)`` and refuse every assignment
+    and deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = tuple(cls.__annotations__)  # the field names
+        cls.__match_args__ = names = tuple(cls.__annotations__)  # the field names
+        own = vars(cls)  # a slot is no default
+        cls._defaults = {n: own[n] for n in names if n in own and n not in cls.__slots__}
 
-    def __init__(self, *values):
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **named):
+        names = self.__match_args__
+        # every field by position, as a curve builds each of its thousands of
+        # samples, skips all keyword and default handling; the index loop
+        # stores faster than one over zip()
+        if named or len(values) != len(names):
+            values = self._bind(values, named)
+        i = 0
+        for name in names:
+            _store(self, name, values[i])
+            i += 1
+
+    def _bind(self, values, named) -> list:
+        """The field values, in order, of a call that names fields or leaves
+        some to their defaults; TypeError for a field missing, unknown or
+        given twice, or too many values."""
+        names, call = self.__match_args__, f"{self.__class__.__qualname__}()"
+        if len(values) > len(names):
+            raise TypeError(f"{call} takes {len(names)} fields but {len(values)} were given")
+        given = dict(zip(names, values))
+        for name in named:
+            if name not in names:
+                raise TypeError(f"{call} got an unknown field {name!r}")
+            if name in given:
+                raise TypeError(f"{call} got two values for field {name!r}")
+        bound = {**self._defaults, **given, **named}
+        missing = [name for name in names if name not in bound]
+        if missing:
+            raise TypeError(f"{call} has no value for {', '.join(map(repr, missing))}")
+        return [bound[name] for name in names]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

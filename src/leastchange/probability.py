@@ -21,19 +21,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError
 from .genfunc import series_table
-from .matrices import TypeSpec
+from .matrices import TypeSpec, _Record
 from .tables import CoefficientTable
 
 CURVE_MAX_N = 5
 
 
-@dataclass(frozen=True)
-class ProbabilityPolynomial:
+class ProbabilityPolynomial(_Record):
     table: CoefficientTable
 
     def evaluate(self, r):
@@ -77,8 +75,7 @@ def family_tables(n: int) -> dict[str, CoefficientTable]:
     return {family: series_table(TypeSpec(family, n)) for family in "ABC"}
 
 
-@dataclass(frozen=True)
-class CurveSample:
+class CurveSample(_Record):
     """P_A, P_B and P_C at r as numerators a, b, c over one positive denominator.
 
     Curves keep the Horner integers over q^(n^2) at r = p/q, so P_A is
@@ -104,16 +101,20 @@ def _samples(n: int, grid, tables) -> list[CurveSample]:
     """P_A, P_B and P_C at every r of the grid (default tables if None)."""
     tables = tables or family_tables(n)
     specs = [TypeSpec(f, n) for f in ("A", "B", "C")]
-    if [tables[s.family].spec for s in specs] != specs:
+    if [tables[spec.family].spec for spec in specs] != specs:
         raise ValueError(f"tables must belong to families A, B, C at n={n}")
-    polys = [ProbabilityPolynomial(tables[s.family]) for s in specs]
-    # P = N / q^m for each family; lifting N by q^(n^2 - m) shares q^(n^2)
-    lifts = [n * n - s.m for s in specs]
+    # P = N / q^m for each family at r = p/q; lifting N by q^(n^2 - m) shares
+    # q^(n^2), and those powers are taken once per q (a 1/5000 grid has 19)
+    na, nb, nc = (ProbabilityPolynomial(tables[spec.family])._homogeneous for spec in specs)
+    powers = {}
     samples = []
     for r in grid:
         p, q = r.numerator, r.denominator
-        a, b, c = (f._homogeneous(p, q - p) * q**k for f, k in zip(polys, lifts))
-        samples.append(CurveSample(r, a, b, c, q ** (n * n)))
+        if q not in powers:
+            powers[q] = [q ** (n * n - spec.m) for spec in specs], q ** (n * n)
+        (la, lb, lc), denominator = powers[q]
+        s = q - p
+        samples.append(CurveSample(r, na(p, s) * la, nb(p, s) * lb, nc(p, s) * lc, denominator))
     return samples
 
 
@@ -140,8 +141,7 @@ def _chain_holds(sample: CurveSample) -> bool:
     return a > b > c and (a - b) > (b - c)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(_Record):
     """Where the ordering A > B > C with widening gaps starts to hold."""
 
     n: int

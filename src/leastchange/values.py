@@ -7,12 +7,12 @@ over an interval, ``least`` answers from a coefficient table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .matrices import _Record
 
-@dataclass(frozen=True)
-class ValueSet:
+
+class ValueSet(_Record):
     """Finite rational value set, or an interval around 0."""
 
     kind: str

@@ -37,7 +37,6 @@ import bisect
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -47,6 +46,7 @@ from .matrices import (
     BinaryMatrix,
     RationalMatrix,
     TypeSpec,
+    _Record,
     determinant,
     laplace,
     permanent,
@@ -59,8 +59,7 @@ DISCRETE_BUDGET = 20_000_000
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class AttainingSet:
+class AttainingSet(_Record):
     """Matrices (or support patterns) attaining the least |det| value.
 
     The set is its members' ascending assignment counters over the digit
@@ -187,11 +186,13 @@ def _discrete_scan(spec: TypeSpec, xset: ValueSet) -> AttainingSet:
 def _pattern_scan(spec: TypeSpec) -> AttainingSet:
     """The discrete scan over {0, 1}, members as patterns in counter order.
 
-    Over {0, 1} the value digits are the bits of the pattern counter, so each
-    attaining counter decodes straight to its pattern, and both scans share
-    one determinant array through the cache.
+    Over {0, 1} the value digits are the bits of the pattern counter, so the
+    set is the {0, 1} scan's value, counters and nonzeros with ``values``
+    ``None``: each attaining counter decodes straight to its pattern, and
+    both scans share one determinant array through the cache.
     """
-    return replace(_discrete_scan(spec, ValueSet.discrete([0, 1])), values=None)
+    scan = _discrete_scan(spec, ValueSet.discrete([0, 1]))
+    return AttainingSet(spec, scan.value, scan.counters, scan.nonzeros, None)
 
 
 def _row_choices(spec: TypeSpec, values, fixed):
@@ -222,8 +223,7 @@ def _determinants(spec: TypeSpec, scaled, scale: int) -> tuple[list[int], list[i
     return laplace(entries), nonzeros
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(_Record):
     """Is the continuous attaining-pattern set inside the discrete one?"""
 
     family: str
@@ -255,22 +255,19 @@ def check_inclusion(
     return InclusionReport(family, n, holds, difference, missing, not (dis & cnt))
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Record):
     description: str
     expected: str
     computed: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     name: str
     claims: tuple[Claim, ...]
 
 
-@dataclass(frozen=True)
-class ComplementReport:
+class ComplementReport(_Record):
     """The exact identity P_continuous(det=1) + P_discrete(det=0) = 1."""
 
     continuous_coeffs: tuple

@@ -5,9 +5,10 @@ every route, ``curve``, ``least`` over an interval or a discrete set, every
 ``verify`` suite) and no public export loads it; the package loads its
 submodules on first access, and ``cli`` loads each command's modules in its
 handler, so ``count`` by enumeration loads no series, no probability, no
-``fractions`` and no ``json``, no ``count`` route loads ``dataclasses`` or
-``inspect``, and no scan over a discrete value set loads the series.  Every
-check runs in a new interpreter: this test session imported numpy long ago.
+``fractions`` and no ``json``, no command and no submodule loads
+``dataclasses`` or ``inspect``, and no scan over a discrete value set loads
+the series.  Every check runs in a new interpreter: this test session
+imported numpy long ago.
 """
 
 import os
@@ -123,6 +124,39 @@ def test_counting_loads_no_series_probability_fractions_or_json(code):
 def test_every_count_route_loads_no_dataclasses(code):
     # the counting path's records are frozen without dataclasses, which
     # imports inspect
+    assert loaded_after(code, ("dataclasses", "inspect")) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        MAIN + "assert main(['curve', '--n', '4', '--step', '1/5000']) == 0",
+        MAIN + "assert main(['least', '--family', 'C', '--n', '4', '--values', '0,1']) == 0",
+        MAIN + "assert main(['least', '--family', 'A', '--n', '3', '--values', '0,1/2,1,2']) == 0",
+        MAIN + "assert main(['least', '--family', 'B', '--n', '4', '--values', '[0:2]']) == 0",
+        MAIN + "assert main(['verify', 'witnesses']) == 0",
+        MAIN + "assert main(['verify', 'inclusion']) == 0",
+        MAIN + "assert main(['verify', 'complement']) == 0",
+        MAIN + "assert main(['verify', 'tables']) == 0",
+        MAIN + "assert main(['verify', 'routes']) == 0",
+        # exit 1: the pinned one-digit misprint of the published A5 total
+        MAIN + "assert main(['verify', 'oeis']) == 1",
+        MAIN + "assert main(['verify', 'acyclic']) == 0",
+        MAIN + "assert main(['verify', 'all']) == 1",
+        # every submodule but __main__, which runs the CLI when imported
+        "import importlib, os, leastchange\n"
+        "for name in os.listdir(os.path.dirname(leastchange.__file__)):\n"
+        "    if name.endswith('.py') and name not in ('__init__.py', '__main__.py'):\n"
+        "        importlib.import_module('leastchange.' + name[:-3])",
+    ],
+    ids=[
+        "curve", "least-discrete-C4", "least-discrete-A3", "least-interval-B4",
+        "verify-witnesses", "verify-inclusion", "verify-complement", "verify-tables",
+        "verify-routes", "verify-oeis", "verify-acyclic", "verify-all", "every-submodule",
+    ],
+)
+def test_every_command_loads_no_dataclasses(code):
+    # every record of the package is a matrices._Record
     assert loaded_after(code, ("dataclasses", "inspect")) == []
 
 

@@ -16,18 +16,27 @@ from oracles import (
 )
 
 from leastchange import (
+    AttainingSet,
     BinaryMatrix,
+    ChainReport,
+    CheckReport,
     CoefficientTable,
+    ComplementReport,
+    CurveSample,
     Digraph,
     DimensionError,
+    InclusionReport,
     Polynomial,
+    ProbabilityPolynomial,
     RationalMatrix,
     TypeSpec,
+    ValueSet,
     determinant,
     permanent,
     support,
 )
-from leastchange.matrices import det_int, laplace
+from leastchange.matrices import _Record, det_int, laplace
+from leastchange.valuesets import Claim
 
 
 def random_binary(rng, n):
@@ -296,8 +305,10 @@ class TestSupport:
         assert support(m) is m
 
 
-# Each frozen record of the counting path: its fields in order, and every
-# validation error it raises, as (bad fields, exception type, message).
+HALF = Fraction(1, 2)
+
+# Each frozen record of the package: its fields in order, and every error its
+# construction by position raises, as (bad fields, exception type, message).
 RECORDS = [
     (
         BinaryMatrix,
@@ -358,6 +369,110 @@ RECORDS = [
             ),
         ],
     ),
+    (
+        ProbabilityPolynomial,
+        {"table": CoefficientTable(TypeSpec("C", 2), (1, 2), "gf")},
+        [((), TypeError, "ProbabilityPolynomial() has no value for 'table'")],
+    ),
+    (
+        CurveSample,
+        {"r": HALF, "a": 12, "b": 10, "c": 9, "denominator": 16},
+        [
+            ((HALF, 12), TypeError, "CurveSample() has no value for 'b', 'c'"),
+            ((HALF, 12, 10, 9, 16, 1), TypeError, "CurveSample() takes 5 fields but 6 were given"),
+        ],
+    ),
+    (
+        ChainReport,
+        {
+            "n": 3,
+            "lo": Fraction(1, 100),
+            "hi": Fraction(99, 100),
+            "step": Fraction(1, 1000),
+            "holding_count": 700,
+            "failing_count": 281,
+            "largest_failing": Fraction(3, 10),
+            "smallest_holding_above": Fraction(301, 1000),
+        },
+        [
+            (
+                (3,),
+                TypeError,
+                "ChainReport() has no value for 'lo', 'hi', 'step', 'holding_count', "
+                "'failing_count', 'largest_failing', 'smallest_holding_above'",
+            ),
+        ],
+    ),
+    (
+        ValueSet,
+        {"kind": "continuous", "values": (), "interval": (Fraction(0), Fraction(2))},
+        [
+            ((), TypeError, "ValueSet() has no value for 'kind'"),
+            (("discrete", (), None, 1), TypeError, "ValueSet() takes 3 fields but 4 were given"),
+        ],
+    ),
+    (
+        AttainingSet,
+        {
+            "spec": TypeSpec("C", 2),
+            "value": Fraction(0),
+            "counters": (3,),
+            "nonzeros": (2,),
+            "values": None,
+        },
+        [
+            (
+                (TypeSpec("C", 2),),
+                TypeError,
+                "AttainingSet() has no value for 'value', 'counters', 'nonzeros', 'values'",
+            ),
+        ],
+    ),
+    (
+        InclusionReport,
+        {
+            "family": "A",
+            "n": 2,
+            "holds": True,
+            "difference": (BinaryMatrix(2, (3, 3)),),
+            "missing": (),
+            "disjoint": False,
+        },
+        [
+            (
+                ("A", 2, True, (), (), False, 0),
+                TypeError,
+                "InclusionReport() takes 6 fields but 7 were given",
+            ),
+        ],
+    ),
+    (
+        Claim,
+        {"description": "least |det|", "expected": "3/4", "computed": "3/4", "ok": True},
+        [(("least |det|",), TypeError, "Claim() has no value for 'expected', 'computed', 'ok'")],
+    ),
+    (
+        CheckReport,
+        {"name": "discrete-counterexamples", "claims": (Claim("x", "1", "1", True),)},
+        [(("suite",), TypeError, "CheckReport() has no value for 'claims'")],
+    ),
+    (
+        ComplementReport,
+        {
+            "continuous_coeffs": (0, 0, 1),
+            "discrete_coeffs": (1, 0, -1),
+            "sum_coeffs": (1,),
+            "ok": True,
+        },
+        [
+            (
+                (),
+                TypeError,
+                "ComplementReport() has no value for 'continuous_coeffs', 'discrete_coeffs', "
+                "'sum_coeffs', 'ok'",
+            ),
+        ],
+    ),
 ]
 
 
@@ -392,3 +507,95 @@ def test_frozen_record_semantics(cls, fields, invalid):
         with pytest.raises(error) as info:
             cls(*values)
         assert info.type is error and str(info.value) == message
+
+
+def test_positional_construction_binds_nothing(monkeypatch):
+    # every field by position, as a curve builds its thousands of samples,
+    # takes no keyword or default handling
+    def refuse(self, values, named):
+        raise AssertionError(f"{type(self).__name__} bound {values!r}, {named!r}")
+
+    monkeypatch.setattr(_Record, "_bind", refuse)
+    for cls, fields, _ in RECORDS:
+        record = cls(*fields.values())
+        assert [getattr(record, name) for name in fields] == list(fields.values())
+
+
+def test_defaults_are_class_attributes():
+    sample = CurveSample(HALF, 12, 10, 9)
+    assert sample.denominator == CurveSample.denominator == 1
+    assert sample == CurveSample(HALF, 12, 10, 9, 1)
+    discrete = ValueSet("discrete")
+    assert (discrete.values, discrete.interval) == ((), None)
+    assert ValueSet("continuous", interval=(0, 1)).values == ()
+    assert ValueSet.continuous(0, 1) == ValueSet("continuous", (), (0, 1))
+    assert ValueSet.discrete([1, 0]) == ValueSet("discrete", (Fraction(0), Fraction(1)), None)
+
+
+# The dataclass twins of the records with defaults: same fields, same defaults.
+TWIN_FIELDS = {
+    CurveSample: ["r", "a", "b", "c", ("denominator", int, dataclasses.field(default=1))],
+    ValueSet: [
+        "kind",
+        ("values", tuple, dataclasses.field(default=())),
+        ("interval", object, dataclasses.field(default=None)),
+    ],
+}
+
+# (record, positional values, keyword values): calls that bind and calls that
+# must raise TypeError (a field missing, unknown, given twice, or too many)
+CALLS = [
+    (CurveSample, (HALF, 12, 10, 9), {}),
+    (CurveSample, (HALF, 12, 10, 9, 16), {}),
+    (CurveSample, (), {"r": HALF, "a": 12, "b": 10, "c": 9}),
+    (CurveSample, (), {"denominator": 16, "c": 9, "b": 10, "a": 12, "r": HALF}),
+    (CurveSample, (HALF, 12), {"c": 9, "b": 10}),
+    (CurveSample, (HALF,), {"a": 12, "b": 10, "c": 9, "denominator": 16}),
+    (CurveSample, (HALF, 12, 10), {}),
+    (CurveSample, (), {"r": HALF, "a": 12, "b": 10, "denominator": 16}),
+    (CurveSample, (HALF, 12, 10, 9), {"d": 16}),
+    (CurveSample, (HALF, 12, 10, 9), {"r": HALF}),
+    (CurveSample, (HALF, 12, 10, 9, 16), {"denominator": 16}),
+    (CurveSample, (HALF, 12, 10, 9, 16, 1), {}),
+    (ValueSet, ("discrete",), {}),
+    (ValueSet, ("discrete", (Fraction(0), Fraction(1))), {}),
+    (ValueSet, ("continuous",), {"interval": (Fraction(-1), Fraction(1))}),
+    (ValueSet, (), {"kind": "continuous", "interval": (Fraction(0), Fraction(2))}),
+    (ValueSet, (), {"interval": None, "values": (), "kind": "discrete"}),
+    (ValueSet, (), {}),
+    (ValueSet, (), {"values": ()}),
+    (ValueSet, ("discrete",), {"kind": "discrete"}),
+    (ValueSet, ("discrete",), {"size": 2}),
+    (ValueSet, ("discrete", (), None, 1), {}),
+]
+
+
+def outcome(cls, args, kwargs):
+    """The repr of ``cls(*args, **kwargs)``, or TypeError if the call raises it."""
+    try:
+        return repr(cls(*args, **kwargs))
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CALLS)
+def test_keyword_and_default_binding(cls, args, kwargs):
+    twin = dataclasses.make_dataclass(cls.__name__, TWIN_FIELDS[cls], frozen=True)
+    assert outcome(cls, args, kwargs) == outcome(twin, args, kwargs)
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, message",
+    [
+        (CurveSample, (HALF, 12), {}, "CurveSample() has no value for 'b', 'c'"),
+        (CurveSample, (), {"a": 12, "b": 10, "c": 9}, "CurveSample() has no value for 'r'"),
+        (CurveSample, (HALF, 12, 10, 9), {"d": 16}, "CurveSample() got an unknown field 'd'"),
+        (ValueSet, (), {"size": 2}, "ValueSet() got an unknown field 'size'"),
+        (ValueSet, ("discrete",), {"kind": "x"}, "ValueSet() got two values for field 'kind'"),
+        (ValueSet, ("discrete", (), None, 1), {}, "ValueSet() takes 3 fields but 4 were given"),
+    ],
+)
+def test_binding_errors_name_the_field(cls, args, kwargs, message):
+    with pytest.raises(TypeError) as info:
+        cls(*args, **kwargs)
+    assert str(info.value) == message
