@@ -19,6 +19,9 @@ it is used, so ``count`` by enumeration loads no series, no probability, no
   ``inclusion`` and ``complement`` suites of ``verify``;
 - ``fractions`` where a step or a value set is parsed, ``json`` where JSON
   is written.
+
+``tests/test_cold_start.py`` pins this policy: it runs each command once in
+a fresh interpreter and checks which of these modules it loaded.
 """
 
 from __future__ import annotations

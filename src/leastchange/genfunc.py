@@ -142,7 +142,7 @@ def _coerce(value) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def one_plus_t_power(exponent: int) -> Polynomial:
-    """(1 + t)^k; these dominate the convolution cost, so they are cached."""
+    """(1 + t)^k, cached: the A solve reads each power many times."""
     return Polynomial(tuple(math.comb(exponent, i) for i in range(exponent + 1)))
 
 

@@ -4,6 +4,7 @@ Each function here is the definition, or an earlier independent route, that
 a test holds a product path to; none of them is part of the package.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -728,6 +729,43 @@ def edge_polynomials_by_sources(n_max: int) -> list[Polynomial]:
             row[k] = math.comb(n, k) * acc
         a.append(row)
     return [sum(row.values(), Polynomial.zero()) for row in a]
+
+
+def reachability_by_layers(n: int) -> Polynomial:
+    """Family B's polynomial by the breadth-first layers L1, L2, ... that
+    vertex 1 reaches, sharing no identity with the series route.
+
+    With x_11 = 0, a pertinent B pattern is a digraph on n vertices in which
+    1 lies on no cycle.  Of the m = n - 1 other vertices, 1 sends arcs to
+    exactly the k1 of L1; each of the k' vertices of a next layer takes at
+    least one arc from the k of the layer before; a layer's vertices send
+    any arc back into the p + k' vertices placed with it, loops excluded, and
+    none to 1, to a later layer past the next or outside; the m - p vertices
+    that 1 does not reach send arcs anywhere.  So, with p placed before it,
+    the first layer gives C(m, k1) t^k1 (1+t)^(k1(k1 - 1)), a next layer
+    C(m - p, k') ((1+t)^k - 1)^k' (1+t)^(k'(p + k' - 1)), the vertices
+    outside (1+t)^((m - p) m), and the empty split (1+t)^(m^2).  No term is
+    negative.
+    """
+    m = n - 1
+    power = functools.cache(one_plus_t_power.__wrapped__)
+
+    @functools.cache
+    def hit(k: int, j: int) -> Polynomial:
+        """((1+t)^k - 1)^j, read at every p that a layer of size k ends."""
+        return Polynomial.one() if j == 0 else hit(k, j - 1) * (power(k) - 1)
+
+    # placed[p][k]: every sequence of layers that places p vertices, the last of size k
+    placed = [{} for _ in range(m + 1)]
+    for k in range(1, m + 1):
+        placed[k][k] = math.comb(m, k) * Polynomial((0,) * k + (1,)) * power(k * (k - 1))
+    total = power(m * m)
+    for p in range(1, m + 1):
+        total = total + sum(placed[p].values(), Polynomial.zero()) * power((m - p) * m)
+        for size in range(1, m - p + 1):
+            reached = sum((hit(k, size) * poly for k, poly in placed[p].items()), Polynomial.zero())
+            placed[p + size][size] = math.comb(m - p, size) * power(size * (p + size - 1)) * reached
+    return total
 
 
 # --- probability -----------------------------------------------------------

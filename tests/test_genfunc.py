@@ -21,6 +21,7 @@ from oracles import (
     edge_polynomials_by_sources,
     evaluate_polynomial,
     polynomial_power,
+    reachability_by_layers,
     reachability_by_recurrence,
     reachability_by_series,
     reciprocal,
@@ -47,6 +48,11 @@ from leastchange.enumeration import _row_counts
 from leastchange.reference import PUBLISHED_TOTALS, REFERENCE_COUNTS
 from leastchange.genfunc import series_table
 from leastchange.tables import ROUTE_GENERATING_FUNCTION, ROUTE_MAX_N, ROUTES, check_reach
+
+
+def slow(ns) -> list:
+    """Cases that the default run deselects; ``pytest -m slow`` runs them."""
+    return [pytest.param(n, marks=pytest.mark.slow) for n in ns]
 
 
 class TestPolynomial:
@@ -172,6 +178,12 @@ class TestTablesUnderTheOracleProduct:
         monkeypatch.setattr(Polynomial, "__rmul__", schoolbook_product)
         split = [poly.coefficients for poly in edge_polynomials_by_sources(8)[1:]]
         assert split == series
+
+    def test_layers_equal_the_series(self, monkeypatch):
+        series = [gf_reachability_table(n).coeffs for n in range(1, 9)]
+        monkeypatch.setattr(Polynomial, "__mul__", schoolbook_product)
+        monkeypatch.setattr(Polynomial, "__rmul__", schoolbook_product)
+        assert [reachability_by_layers(n).coefficients for n in range(1, 9)] == series
 
 
 class TestExplicitRecurrences:
@@ -440,7 +452,7 @@ def assert_ends(ends, counts):
 @functools.cache
 def series_coeffs(family: str, n: int) -> tuple[int, ...]:
     """One series table per family and n, solved once for the tests that
-    read every table to n = 16."""
+    read every table to n = 16, and to n = 20 under ``-m slow``."""
     return series_table(TypeSpec(family, n)).coeffs
 
 
@@ -468,7 +480,7 @@ class TestEndCoefficients:
             with pytest.raises(ValueError):
                 c_end_coefficients(n)
 
-    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("n", [*range(1, 15), *slow(range(15, 21))])
     def test_a_series(self, n):
         assert_ends(a_end_coefficients(n), series_coeffs("A", n))
 
@@ -494,6 +506,14 @@ class TestSourceSplit:
         assert edge_polynomials_to_24()[n].coefficients == gf_edge_table(n).coeffs
 
 
+class TestBreadthFirstLayers:
+    """Family B by the breadth-first layers from vertex 1, term for term against the series."""
+
+    @pytest.mark.parametrize("n", [*range(1, 13), *slow(range(13, 25))])
+    def test_equals_the_series(self, n):
+        assert reachability_by_layers(n).coefficients == gf_reachability_table(n).coeffs
+
+
 def entry(counts, i: int) -> int:
     """Coefficient i of a table, 0 past its end."""
     return counts[i] if i < len(counts) else 0
@@ -504,7 +524,7 @@ class TestCrossFamilyDominance:
     B pattern with x_11 = 0, and a pertinent B pattern is a zero-permanent A
     pattern whose fixed diagonal adds n - 1 ones."""
 
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", [*range(1, 17), *slow(range(17, 21))])
     def test_on_the_series(self, n):
         a, b, c = (series_coeffs(family, n) for family in "ABC")
         for i in range(n * n - n + 2):
@@ -551,7 +571,7 @@ class TestValuesAtMinusOne:
     ``a_at_minus_one``, and its series check, like theirs, checks the kernel
     and the decoding, not the derivation."""
 
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", [*range(1, 17), *slow(range(17, 21))])
     def test_a_series(self, n):
         assert value_at_minus_one(series_coeffs("A", n)) == a_at_minus_one(n)
 
