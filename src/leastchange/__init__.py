@@ -20,7 +20,7 @@ _EXPORTED_BY = {
     "enumeration": "count_pertinent has_perfect_matching",
     "errors": "BudgetError DimensionError PatternError",
     "genfunc": "Polynomial edge_polynomial gf_deficiency_table gf_edge_table "
-    "gf_reachability_table one_plus_t_power",
+    "gf_reachability_table",
     "matrices": "BinaryMatrix RationalMatrix TypeSpec determinant permanent support",
     "probability": "ChainReport CurveSample ProbabilityPolynomial emit_curve family_tables "
     "find_order_violation",

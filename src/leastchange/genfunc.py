@@ -28,27 +28,27 @@ into them; no value in between is decoded.  Each term carries its power of
 1 + t = 1 + 2^s from level to level, and a factor 1 + 2^s is one shift and
 one add, so the only products left are by binomial coefficients.
 
-A stays on ``Polynomial``, whose product is one Kronecker substitution per
-multiplication: both factors are packed w bytes a coefficient into one
-Python int, the two ints are multiplied once (CPython uses Karatsuba at
-these sizes), and the product's w-byte digits are its coefficients.  The
-width w is chosen from an exact bound on the product's coefficients, so the
-decoding never needs a check.
+A is evaluated the same way, one level of its split at a time, and
+multiplies only ints.  Level (a, b) counts a x b matrices by ones, so every
+coefficient of every term lies in [0, 2^(ab)), and the level is evaluated
+at its own point t = 2^(8w) with w = ab // 8 + 1.  Each table it solves is
+stored as its bytes there, and a later, wider level re-slots those bytes
+into its own width by strided copies, with no value decoded.  Only the last
+level's sum is cut into coefficients.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 from .matrices import TypeSpec, _Record
 from .tables import ROUTE_GENERATING_FUNCTION, CoefficientTable, check_reach
 
 
 class Polynomial(_Record):
-    """Dense one-variable polynomial with integer coefficients, trailing
-    zeros dropped."""
+    """A polynomial in t as its integer coefficients, lowest first, trailing
+    zeros dropped: the value ``edge_polynomial`` returns."""
 
     __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
@@ -59,91 +59,25 @@ class Polynomial(_Record):
             coeffs.pop()
         super().__init__(tuple(coeffs))
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
 
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(tuple(-v for v in self.coefficients))
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __mul__(self, other):
-        a, b = self.coefficients, _coerce(other).coefficients
-        if not a or not b:
-            return Polynomial()
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            return Polynomial([c * b[0] for c in a])
-        return Polynomial(_kronecker_product(a, b))
-
-    __rmul__ = __mul__
-
-
-def _kronecker_product(a, b) -> list[int]:
-    """Coefficients of the product of two integer polynomials of length >= 2.
-
-    Kronecker substitution: both polynomials are evaluated at 2^(8w), packed
-    w bytes a coefficient, and multiplied once as Python ints.  Every product
-    coefficient is a sum of at most min(len a, len b) terms, so its absolute
-    value is below 2^(8w-1) for the w chosen here; adding 2^(8w-1) to every
-    w-byte slot then makes each slot a nonnegative digit, and one to_bytes
-    call cuts the product into them exactly.
-    """
-    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
-    bound = min(len(a), len(b)) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
-    w = (bound.bit_length() + 8) // 8
-    size = len(a) + len(b) - 1
-    offset = int.from_bytes((bytes(w - 1) + b"\x80") * size, "little")
-    return _digits(_pack(a, lo_a, w) * _pack(b, lo_b, w) + offset, w, size, 1 << (8 * w - 1))
-
-
-def _digits(value: int, w: int, size: int, bias: int = 0) -> list[int]:
-    """The first ``size`` w-byte digits of a nonnegative int, each less ``bias``."""
+def _digits(value: int, w: int, size: int) -> list[int]:
+    """The first ``size`` w-byte digits of a nonnegative int."""
     digits = value.to_bytes(w * size, "little")
     from_bytes = int.from_bytes  # bound once: looking it up per slot doubles the cost
-    return [from_bytes(digits[i : i + w], "little") - bias for i in range(0, w * size, w)]
+    return [from_bytes(digits[i : i + w], "little") for i in range(0, w * size, w)]
 
 
-def _pack(coeffs, lowest: int, w: int) -> int:
-    """sum_i coeffs[i] * 2^(8wi), as its positive part less its negative part."""
-    if lowest >= 0:
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
-    positive = b"".join([(c if c > 0 else 0).to_bytes(w, "little") for c in coeffs])
-    negative = b"".join([(-c if c < 0 else 0).to_bytes(w, "little") for c in coeffs])
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
-
-
-def _coerce(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, int):
-        return Polynomial((value,))
-    raise TypeError(f"cannot mix Polynomial with {type(value).__name__}")
-
-
-@lru_cache(maxsize=None)
-def one_plus_t_power(exponent: int) -> Polynomial:
-    """(1 + t)^k, cached: the A solve reads each power many times."""
-    return Polynomial(tuple(math.comb(exponent, i) for i in range(exponent + 1)))
+def _widen(digits: bytes, cells: int, w: int) -> int:
+    """The value at t = 2^(8w) of a table stored as its digits at the point
+    of its own level of ``cells`` cells: each byte of a slot goes to the same
+    byte of a w-byte slot, one strided copy per byte."""
+    w0 = cells // 8 + 1
+    if w0 == w:
+        return int.from_bytes(digits, "little")
+    out = bytearray(len(digits) // w0 * w)
+    for j in range(w0):
+        out[j::w] = digits[j::w0]
+    return int.from_bytes(out, "little")
 
 
 def _at_one_point(value_at, n: int) -> list[int]:
@@ -230,7 +164,7 @@ def gf_reachability_table(n: int) -> CoefficientTable:
 
 
 def gf_deficiency_table(n: int) -> CoefficientTable:
-    """Family-A coefficient table: (1+t)^(n^2) less the matchable matrices.
+    """Family-A coefficient table: the matrices with a deficient row set.
 
     For an a x b 0/1 matrix let d(X) = |X| - |N(X)| over row sets X.  It is
     supermodular, so its maximizers have a unique largest member S*, with
@@ -244,45 +178,62 @@ def gf_deficiency_table(n: int) -> CoefficientTable:
     over s <= a and tau <= min(s, b), where M(a, b) counts the matrices whose
     rows can all be matched (the tau = s part) and K(a, b) those with strict
     surplus, which is impossible once a >= b and a >= 1 (all a rows meet at
-    most b columns).  So only K with a < b or a = 0 is stored, and every term
-    with a vanishing K is skipped.  Solved column by column in b, and within
-    a column for a = 1..b: for a < b the (0, 0) term yields K, then M; for
-    a = b the (a, a) term yields M(a, a).  Every term read lies in an earlier
-    column or an earlier row of the same one.  The checked solve in
-    ``tests/oracles.py``, which the tests hold this one to, also derives each
-    K = 0 with a > b or raises.
+    most b columns).  So only K with a < b or a = 0 is stored, and only
+    levels with a <= b are solved.  There every term with tau < s has a
+    stored K; their sum D counts the matrices with a deficient row set.  The
+    terms with tau = s sum to M(a, b), so M(a, b) = (1+t)^(ab) - D, and the
+    (0, 0) one among them is K(a, b), so for a < b K(a, b) is M(a, b) less
+    the terms with tau = s >= 1.  The n x n matrices with zero permanent are
+    D at level (n, n).  Solved column by column in b, and within a column
+    for a = 1..b; every term read lies in an earlier column or an earlier
+    row of the same one.
+
+    Each level is evaluated at its own point, as the module docs say, and
+    stored as its digits there.  For each s, the terms with tau < s are
+    summed by Horner's rule in (1+t)^(a-s), so no term takes a power of its
+    own.  The checked solve in ``tests/oracles.py``, which the tests hold
+    this one to, derives each K = 0 with a > b or raises.
     """
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    matched = {(0, 0): Polynomial.one()}
+    matched = {(0, b): b"\x01" for b in range(n + 1)}
     surplus = dict(matched)
 
-    def rest(a, b, skip):
-        acc = Polynomial.zero()
-        for s in range(a + 1):
-            for tau in range(min(s, b) + 1):
-                if (s, tau) != skip and (a - s, b - tau) in surplus:
-                    acc = acc + (
-                        math.comb(a, s) * math.comb(b, tau) * matched[tau, s]
-                        * surplus[a - s, b - tau] * one_plus_t_power((a - s) * tau)
-                    )
-        return one_plus_t_power(a * b) - acc
+    def level(a, b):
+        """w, 1 + t at t = 2^(8w), D, and the terms with tau = s >= 1."""
+        w = a * b // 8 + 1
+        one_plus_t = (1 << 8 * w) + 1
+
+        def term(s, tau):
+            """C(b, tau) M(tau, s) K(a-s, b-tau): the term without C(a, s) and its power."""
+            return (
+                math.comb(b, tau)
+                * _widen(matched[tau, s], tau * s, w)
+                * _widen(surplus[a - s, b - tau], (a - s) * (b - tau), w)
+            )
+
+        deficient = tight = 0
+        for s in range(1, a + 1):
+            x = one_plus_t ** (a - s)
+            acc = 0
+            for tau in reversed(range(s)):
+                acc = acc * x + term(s, tau)
+            deficient += math.comb(a, s) * acc
+            if a < b:
+                tight += math.comb(a, s) * term(s, s) * x**s
+        return w, one_plus_t, deficient, tight
 
     for b in range(1, n + 1):
-        matched[0, b] = surplus[0, b] = Polynomial.one()
-        for a in range(1, b):
-            surplus[a, b] = rest(a, b, (0, 0))
-            matched[a, b] = sum(
-                (
-                    math.comb(a, s) * math.comb(b, s) * matched[s, s]
-                    * surplus[a - s, b - s] * one_plus_t_power((a - s) * s)
-                    for s in range(a + 1)
-                ),
-                Polynomial.zero(),
-            )
-        matched[b, b] = rest(b, b, (b, b))
-    poly = one_plus_t_power(n * n) - matched[n, n]
+        for a in range(1, b + 1):
+            w, one_plus_t, deficient, tight = level(a, b)
+            if a == n:  # the last level: its D is the table
+                break
+            size = w * (a * b + 1)
+            matchable = one_plus_t ** (a * b) - deficient
+            matched[a, b] = matchable.to_bytes(size, "little")
+            if a < b:
+                surplus[a, b] = (matchable - tight).to_bytes(size, "little")
     return CoefficientTable.from_counts(
-        TypeSpec("A", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
+        TypeSpec("A", n), _digits(deficient, w, n * n + 1), ROUTE_GENERATING_FUNCTION
     )
 
 

@@ -7,6 +7,7 @@ a test holds a product path to; none of them is part of the package.
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +18,10 @@ from leastchange import (
     BinaryMatrix,
     CoefficientTable,
     Digraph,
-    Polynomial,
     ProbabilityPolynomial,
     RationalMatrix,
     TypeSpec,
-    genfunc,
-    one_plus_t_power,
 )
-from leastchange.genfunc import _coerce
 from leastchange.matrices import det_int
 from leastchange.probability import ChainReport, CurveSample, _chain_holds
 from leastchange.tables import check_reach
@@ -374,17 +371,17 @@ def discrete_scan_loop(spec, xset) -> AttainingSet:
 
 
 def complement_by_polynomials() -> tuple:
-    """The C2 complement identity in ``Polynomial`` arithmetic, from the
+    """The C2 complement identity in ``IntPolynomial`` arithmetic, from the
     definitions: each 0/1 assignment weighs the product over its variable
     cells of r for a one and 1 - r for a zero; the continuous side sums the
     pertinent assignments, the discrete side those with det 0.  The four
     fields of ``valuesets.ComplementReport``, in its order."""
     spec = TypeSpec("C", 2)
-    r, one_minus_r = Polynomial((0, 1)), Polynomial((1, -1))
-    cnt = dis = Polynomial.zero()
+    r, one_minus_r = IntPolynomial((0, 1)), IntPolynomial((1, -1))
+    cnt = dis = IntPolynomial.zero()
     for counter in range(1 << spec.m):
         member = assignment_matrix(spec, (0, 1), counter)
-        weight = Polynomial.one()
+        weight = IntPolynomial.one()
         for i, j in spec.variable_positions:
             weight = weight * (r if member.entries[i - 1][j - 1] else one_minus_r)
         if permanent_expansion(member) == spec.target_permanent:
@@ -392,22 +389,132 @@ def complement_by_polynomials() -> tuple:
         if determinant_expansion(member) == 0:
             dis = dis + weight
     total = cnt + dis
-    return cnt.coefficients, dis.coefficients, total.coefficients, total == Polynomial.one()
+    return cnt.coefficients, dis.coefficients, total.coefficients, total == IntPolynomial.one()
 
 
-def power_sum_by_polynomials(nonzeros, m: int) -> Polynomial:
+def power_sum_by_polynomials(nonzeros, m: int) -> "IntPolynomial":
     """sum_i r^i (1-r)^(m-i) over ``nonzeros`` with repeats, by products."""
-    r, one_minus_r = Polynomial((0, 1)), Polynomial((1, -1))
+    r, one_minus_r = IntPolynomial((0, 1)), IntPolynomial((1, -1))
     terms = (polynomial_power(r, i) * polynomial_power(one_minus_r, m - i) for i in nonzeros)
-    return sum(terms, Polynomial.zero())
+    return sum(terms, IntPolynomial.zero())
 
 
 # --- genfunc ---------------------------------------------------------------
 
 
-def polynomial_power(base: Polynomial, exponent: int) -> Polynomial:
+class IntPolynomial:
+    """Dense one-variable polynomial with integer coefficients, trailing
+    zeros dropped, with the arithmetic the oracles are written in: sum,
+    difference, and a product by one signed Kronecker substitution.  It
+    equals only another ``IntPolynomial``; a test holds the package's
+    ``Polynomial`` to it through ``coefficients``."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients=()):
+        coeffs = list(map(operator.index, coefficients))
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coefficients = tuple(coeffs)
+
+    @classmethod
+    def zero(cls) -> "IntPolynomial":
+        return cls(())
+
+    @classmethod
+    def one(cls) -> "IntPolynomial":
+        return cls((1,))
+
+    def __repr__(self):
+        return f"IntPolynomial({self.coefficients})"
+
+    def __eq__(self, other):
+        if isinstance(other, IntPolynomial):
+            return self.coefficients == other.coefficients
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __add__(self, other):
+        other = _coerce(other)
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return IntPolynomial(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return IntPolynomial(tuple(-v for v in self.coefficients))
+
+    def __sub__(self, other):
+        return self + (-_coerce(other))
+
+    def __mul__(self, other):
+        a, b = self.coefficients, _coerce(other).coefficients
+        if not a or not b:
+            return IntPolynomial()
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            return IntPolynomial([c * b[0] for c in a])
+        return IntPolynomial(_kronecker_product(a, b))
+
+    __rmul__ = __mul__
+
+
+def _coerce(value) -> IntPolynomial:
+    if isinstance(value, IntPolynomial):
+        return value
+    if isinstance(value, int):
+        return IntPolynomial((value,))
+    raise TypeError(f"cannot mix IntPolynomial with {type(value).__name__}")
+
+
+def _kronecker_product(a, b) -> list[int]:
+    """Coefficients of the product of two integer polynomials of length >= 2.
+
+    Kronecker substitution: both polynomials are evaluated at 2^(8w), packed
+    w bytes a coefficient, and multiplied once as Python ints.  Every product
+    coefficient is a sum of at most min(len a, len b) terms, so its absolute
+    value is below 2^(8w-1) for the w chosen here; adding 2^(8w-1) to every
+    w-byte slot then makes each slot a nonnegative digit, and one to_bytes
+    call cuts the product into them exactly.
+    """
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    bound = min(len(a), len(b)) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
+    w = (bound.bit_length() + 8) // 8
+    size = len(a) + len(b) - 1
+    offset = int.from_bytes((bytes(w - 1) + b"\x80") * size, "little")
+    digits = (_signed_pack(a, lo_a, w) * _signed_pack(b, lo_b, w) + offset).to_bytes(
+        w * size, "little"
+    )
+    bias = 1 << (8 * w - 1)
+    return [int.from_bytes(digits[i : i + w], "little") - bias for i in range(0, w * size, w)]
+
+
+def _signed_pack(coeffs, lowest: int, w: int) -> int:
+    """sum_i coeffs[i] * 2^(8wi), as its positive part less its negative part."""
+    if lowest >= 0:
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
+    positive = b"".join([(c if c > 0 else 0).to_bytes(w, "little") for c in coeffs])
+    negative = b"".join([(-c if c < 0 else 0).to_bytes(w, "little") for c in coeffs])
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+@functools.cache
+def one_plus_t_power(exponent: int) -> IntPolynomial:
+    """(1 + t)^k, cached: the oracle series read each power many times."""
+    return IntPolynomial(tuple(math.comb(exponent, i) for i in range(exponent + 1)))
+
+
+def polynomial_power(base: IntPolynomial, exponent: int) -> IntPolynomial:
     """base^exponent as exponent products, one factor at a time."""
-    result = Polynomial.one()
+    result = IntPolynomial.one()
     for _ in range(exponent):
         result = result * base
     return result
@@ -448,7 +555,7 @@ def z_series_neg(order: int) -> WeightedSeries:
     """Base series with z negated: term n is (-1)^n."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return WeightedSeries([Polynomial(((-1) ** n,)) for n in range(order + 1)])
+    return WeightedSeries([IntPolynomial(((-1) ** n,)) for n in range(order + 1)])
 
 
 def reciprocal(series: WeightedSeries) -> WeightedSeries:
@@ -457,17 +564,17 @@ def reciprocal(series: WeightedSeries) -> WeightedSeries:
     Forward recurrence: R_0 = 1 and
     R_n = -sum_(k=1..n) binom(n, k) * (1+t)^(k*(n-k)) * S_k * R_(n-k).
     """
-    if series.terms[0] != Polynomial.one():
+    if series.terms[0] != IntPolynomial.one():
         raise ValueError("series must have constant term 1 to be inverted")
-    out = [Polynomial.one()]
+    out = [IntPolynomial.one()]
     for n in range(1, series.order + 1):
         out.append(-_convolve(series.terms, out, n, 1))
     return WeightedSeries(out)
 
 
-def _convolve(a, b, n: int, start: int) -> Polynomial:
+def _convolve(a, b, n: int, start: int) -> IntPolynomial:
     """sum_(j=start..n) binom(n, j) * (1+t)^(j*(n-j)) * a_j * b_(n-j)."""
-    acc = Polynomial.zero()
+    acc = IntPolynomial.zero()
     for j in range(start, n + 1):
         if not a[j].coefficients or not b[n - j].coefficients:
             continue
@@ -475,13 +582,13 @@ def _convolve(a, b, n: int, start: int) -> Polynomial:
     return acc
 
 
-def edge_polynomial_by_series(n: int) -> Polynomial:
+def edge_polynomial_by_series(n: int) -> IntPolynomial:
     """Family C's polynomial as term n of the reciprocal of the alternating
     base series: inverting it is the inclusion-exclusion over source sets."""
     return reciprocal(z_series_neg(n)).terms[n]
 
 
-def reachability_by_series(n: int) -> Polynomial:
+def reachability_by_series(n: int) -> IntPolynomial:
     """Family B's polynomial as term n-1 of e * reciprocal(d) * e, with
     d_j = (1+t)^(j(j-1)) and e_j = (1+t)^(j^2): the reachability split of
     ``genfunc.gf_reachability_table`` as two weighted products."""
@@ -490,14 +597,14 @@ def reachability_by_series(n: int) -> Polynomial:
     return (e * reciprocal(d) * e).terms[n - 1]
 
 
-def edge_polynomial_by_recurrence(n: int) -> Polynomial:
+def edge_polynomial_by_recurrence(n: int) -> IntPolynomial:
     """Family C's polynomial by the source split of ``genfunc`` in
-    ``Polynomial`` arithmetic, one product a term: the route that the
+    ``IntPolynomial`` arithmetic, one product a term: the route that the
     one-point evaluation replaced."""
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    r = [Polynomial.one()]  # R_k: labeled DAGs on k vertices by edges
+    r = [IntPolynomial.one()]  # R_k: labeled DAGs on k vertices by edges
     for k in range(1, n + 1):
-        acc = Polynomial.zero()
+        acc = IntPolynomial.zero()
         for j in range(1, k + 1):
             term = math.comb(k, j) * one_plus_t_power(j * (k - j)) * r[k - j]
             acc = acc + term if j % 2 else acc - term
@@ -505,41 +612,41 @@ def edge_polynomial_by_recurrence(n: int) -> Polynomial:
     return r[n]
 
 
-def reachability_by_recurrence(n: int) -> Polynomial:
+def reachability_by_recurrence(n: int) -> IntPolynomial:
     """Family B's polynomial by the reachability split of ``genfunc`` in
-    ``Polynomial`` arithmetic, one product a term: the route that the
+    ``IntPolynomial`` arithmetic, one product a term: the route that the
     one-point evaluation replaced."""
     check_reach(ROUTE_GENERATING_FUNCTION, n)
     # nearly every power here is read once, so caching them only holds memory
     power = one_plus_t_power.__wrapped__
     # g_k: digraphs on 1 plus k vertices, with no arc into 1, in which 1 reaches all k
-    g = [Polynomial.one()]
+    g = [IntPolynomial.one()]
     for k in range(1, n):
         acc = power(k * k)
         for j in range(k):
             acc = acc - math.comb(k, j) * power((k - j) * (k - 1)) * g[j]
         g.append(acc)
-    poly = Polynomial.zero()
+    poly = IntPolynomial.zero()
     for j in range(n):
         poly = poly + math.comb(n - 1, j) * power((n - 1) * (n - 1 - j)) * g[j]
     return poly
 
 
-def schoolbook_product(p: Polynomial, q) -> Polynomial:
-    """Polynomial product by the double loop over coefficient pairs."""
+def schoolbook_product(p: IntPolynomial, q) -> IntPolynomial:
+    """The product by the double loop over coefficient pairs."""
     q = _coerce(q)
     if not p.coefficients or not q.coefficients:
-        return Polynomial()
+        return IntPolynomial()
     a, b = p.coefficients, q.coefficients
     out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u:
             for j, v in enumerate(b):
                 out[i + j] += u * v
-    return Polynomial(out)
+    return IntPolynomial(out)
 
 
-def evaluate_polynomial(poly: Polynomial, x):
+def evaluate_polynomial(poly: IntPolynomial, x):
     """The polynomial's value at x, by Horner."""
     acc = 0
     for c in reversed(poly.coefficients):
@@ -547,11 +654,11 @@ def evaluate_polynomial(poly: Polynomial, x):
     return acc
 
 
-def derivative(poly: Polynomial) -> Polynomial:
-    return Polynomial(tuple(i * c for i, c in enumerate(poly.coefficients) if i))
+def derivative(poly: IntPolynomial) -> IntPolynomial:
+    return IntPolynomial(tuple(i * c for i, c in enumerate(poly.coefficients) if i))
 
 
-def coefficient_by_differentiation(poly: Polynomial, power: int) -> Fraction:
+def coefficient_by_differentiation(poly: IntPolynomial, power: int) -> Fraction:
     """Coefficient read the slow way: differentiate, evaluate at 0, divide."""
     for _ in range(power):
         poly = derivative(poly)
@@ -568,7 +675,7 @@ def z_series(order: int) -> WeightedSeries:
     """The base series: every weighted term is the constant 1."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return WeightedSeries([Polynomial.one()] * (order + 1))
+    return WeightedSeries([IntPolynomial.one()] * (order + 1))
 
 
 def checked_deficiency_table(n: int) -> CoefficientTable:
@@ -577,16 +684,15 @@ def checked_deficiency_table(n: int) -> CoefficientTable:
     The split of ``genfunc.gf_deficiency_table`` over all pairs a, b <= n:
     for a > b the sum must yield K(a, b) = 0 (all a rows meet at most b
     columns), so this solve derives each of those zeros and raises unless it
-    is one, and multiplies by them in every later sum.  The power kernel is
-    read from ``genfunc`` when called, so a patch of it reaches this solve.
+    is one, and multiplies by them in every later sum.  ``one_plus_t_power``
+    is read from this module when called, so a patch of it reaches this solve.
     """
-    one_plus_t_power = genfunc.one_plus_t_power
     check_reach(ROUTE_GENERATING_FUNCTION, n)
-    matched = {(0, b): Polynomial.one() for b in range(n + 1)}
+    matched = {(0, b): IntPolynomial.one() for b in range(n + 1)}
     surplus = dict(matched)
 
     def rest(a, b, skip):
-        acc = Polynomial.zero()
+        acc = IntPolynomial.zero()
         for s in range(a + 1):
             for tau in range(min(s, b) + 1):
                 if (s, tau) != skip:
@@ -608,14 +714,14 @@ def checked_deficiency_table(n: int) -> CoefficientTable:
                         * surplus[a - s, b - s] * one_plus_t_power((a - s) * s)
                         for s in range(a + 1)
                     ),
-                    Polynomial.zero(),
+                    IntPolynomial.zero(),
                 )
             elif a > b:
                 surplus[a, b] = rest(a, b, (0, 0))
                 if surplus[a, b].coefficients:
                     raise RuntimeError(f"deficiency split leaves surplus at {a}x{b}")
             else:
-                surplus[a, a] = Polynomial.zero()
+                surplus[a, a] = IntPolynomial.zero()
                 matched[a, a] = rest(a, a, (a, a))
     poly = one_plus_t_power(n * n) - matched[n, n]
     return CoefficientTable.from_counts(
@@ -708,7 +814,7 @@ def c_end_coefficients(n: int) -> dict[int, int]:
     return ends
 
 
-def edge_polynomials_by_sources(n_max: int) -> list[Polynomial]:
+def edge_polynomials_by_sources(n_max: int) -> list[IntPolynomial]:
     """Family C's polynomials for n = 0..n_max by Robinson's split refined by
     the exact number of sources, sharing no identity with the series route.
 
@@ -718,20 +824,20 @@ def edge_polynomials_by_sources(n_max: int) -> list[Polynomial]:
     takes at least one edge from the k sources; the other n - k - j vertices
     take any.  No term is negative.  E_C(n) = sum_k a(n, k).
     """
-    a = [{0: Polynomial.one()}]
+    a = [{0: IntPolynomial.one()}]
     for n in range(1, n_max + 1):
         row = {}
         for k in range(1, n + 1):
             hit = one_plus_t_power(k) - 1
-            acc = Polynomial.zero()
+            acc = IntPolynomial.zero()
             for j, rest in a[n - k].items():
                 acc = acc + rest * polynomial_power(hit, j) * one_plus_t_power(k * (n - k - j))
             row[k] = math.comb(n, k) * acc
         a.append(row)
-    return [sum(row.values(), Polynomial.zero()) for row in a]
+    return [sum(row.values(), IntPolynomial.zero()) for row in a]
 
 
-def reachability_by_layers(n: int) -> Polynomial:
+def reachability_by_layers(n: int) -> IntPolynomial:
     """Family B's polynomial by the breadth-first layers L1, L2, ... that
     vertex 1 reaches, sharing no identity with the series route.
 
@@ -751,19 +857,19 @@ def reachability_by_layers(n: int) -> Polynomial:
     power = functools.cache(one_plus_t_power.__wrapped__)
 
     @functools.cache
-    def hit(k: int, j: int) -> Polynomial:
+    def hit(k: int, j: int) -> IntPolynomial:
         """((1+t)^k - 1)^j, read at every p that a layer of size k ends."""
-        return Polynomial.one() if j == 0 else hit(k, j - 1) * (power(k) - 1)
+        return IntPolynomial.one() if j == 0 else hit(k, j - 1) * (power(k) - 1)
 
     # placed[p][k]: every sequence of layers that places p vertices, the last of size k
     placed = [{} for _ in range(m + 1)]
     for k in range(1, m + 1):
-        placed[k][k] = math.comb(m, k) * Polynomial((0,) * k + (1,)) * power(k * (k - 1))
+        placed[k][k] = math.comb(m, k) * IntPolynomial((0,) * k + (1,)) * power(k * (k - 1))
     total = power(m * m)
     for p in range(1, m + 1):
-        total = total + sum(placed[p].values(), Polynomial.zero()) * power((m - p) * m)
+        total = total + sum(placed[p].values(), IntPolynomial.zero()) * power((m - p) * m)
         for size in range(1, m - p + 1):
-            reached = sum((hit(k, size) * poly for k, poly in placed[p].items()), Polynomial.zero())
+            reached = sum((hit(k, size) * poly for k, poly in placed[p].items()), IntPolynomial.zero())
             placed[p + size][size] = math.comb(m - p, size) * power(size * (p + size - 1)) * reached
     return total
 

@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assignment_counter,
@@ -351,6 +351,7 @@ class TestDeterminantArray:
     def test_scan_matches_the_loop(self, family, n, values):
         self.assert_matches_loop(TypeSpec(family, n), ValueSet.discrete(values))
 
+    @settings(derandomize=True)  # one fixed draw: a fresh one swung the time 0.8-6.5 s
     @given(
         family=st.sampled_from("ABC"),
         n=st.integers(1, 3),
