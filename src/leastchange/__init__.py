@@ -19,8 +19,7 @@ _EXPORTED_BY = {
     "dags": "Digraph count_dags_by_edges is_acyclic",
     "enumeration": "count_pertinent has_perfect_matching",
     "errors": "BudgetError DimensionError PatternError",
-    "genfunc": "Polynomial edge_polynomial gf_deficiency_table gf_edge_table "
-    "gf_reachability_table",
+    "genfunc": "gf_deficiency_table gf_edge_table gf_reachability_table",
     "matrices": "BinaryMatrix RationalMatrix TypeSpec determinant permanent support",
     "probability": "ChainReport CurveSample ProbabilityPolynomial emit_curve family_tables "
     "find_order_violation",

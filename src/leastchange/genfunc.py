@@ -40,24 +40,9 @@ level's sum is cut into coefficients.
 from __future__ import annotations
 
 import math
-import operator
 
-from .matrices import TypeSpec, _Record
+from .matrices import TypeSpec
 from .tables import ROUTE_GENERATING_FUNCTION, CoefficientTable, check_reach
-
-
-class Polynomial(_Record):
-    """A polynomial in t as its integer coefficients, lowest first, trailing
-    zeros dropped: the value ``edge_polynomial`` returns."""
-
-    __slots__ = ("coefficients",)
-    coefficients: tuple[int, ...]
-
-    def __init__(self, coefficients=()):
-        coeffs = list(map(operator.index, coefficients))
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        super().__init__(tuple(coeffs))
 
 
 def _digits(value: int, w: int, size: int) -> list[int]:
@@ -111,18 +96,12 @@ def _edge_value(n: int, s: int) -> int:
     return r
 
 
-def edge_polynomial(n: int) -> Polynomial:
-    """Polynomial in t whose t^e coefficient counts labeled DAGs with e edges:
-    R_n of the source split in the module docs."""
-    check_reach(ROUTE_GENERATING_FUNCTION, n)
-    return Polynomial(_at_one_point(_edge_value, n))
-
-
 def gf_edge_table(n: int) -> CoefficientTable:
-    """Family-C coefficient table computed through the series route."""
-    poly = edge_polynomial(n)
+    """Family-C coefficient table: entry e counts the labeled DAGs with e
+    edges, read off R_n of the source split in the module docs."""
+    check_reach(ROUTE_GENERATING_FUNCTION, n)
     return CoefficientTable.from_counts(
-        TypeSpec("C", n), poly.coefficients, ROUTE_GENERATING_FUNCTION
+        TypeSpec("C", n), _at_one_point(_edge_value, n), ROUTE_GENERATING_FUNCTION
     )
 
 

@@ -6,7 +6,7 @@ loads where a Fraction is first made, so counting on binary layouts never
 loads it.  All public indices are 1-based.  Everything here is an immutable
 value, so every operation is pure and safe under any amount of concurrency.
 
-Every record of the package, here and in ``tables``, ``dags``, ``genfunc``,
+Every record of the package, here and in ``tables``, ``dags``,
 ``probability``, ``values`` and ``valuesets``, is frozen through
 ``_Record``, not ``@dataclass``: that import, which loads ``inspect``, and
 its code generation per class took about 10 ms of a 70 ms ``count`` and
@@ -44,12 +44,10 @@ class _Record:
     and deletion.
     """
 
-    __slots__ = ()
-
     def __init_subclass__(cls):
         cls.__match_args__ = names = tuple(cls.__annotations__)  # the field names
-        own = vars(cls)  # a slot is no default
-        cls._defaults = {n: own[n] for n in names if n in own and n not in cls.__slots__}
+        own = vars(cls)
+        cls._defaults = {n: own[n] for n in names if n in own}
 
     def __init__(self, *values, **named):
         names = self.__match_args__

@@ -406,8 +406,8 @@ class IntPolynomial:
     """Dense one-variable polynomial with integer coefficients, trailing
     zeros dropped, with the arithmetic the oracles are written in: sum,
     difference, and a product by one signed Kronecker substitution.  It
-    equals only another ``IntPolynomial``; a test holds the package's
-    ``Polynomial`` to it through ``coefficients``."""
+    equals only another ``IntPolynomial``; a test holds a package table's
+    ``coeffs`` to its ``coefficients``."""
 
     __slots__ = ("coefficients",)
 

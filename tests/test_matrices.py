@@ -26,7 +26,6 @@ from leastchange import (
     Digraph,
     DimensionError,
     InclusionReport,
-    Polynomial,
     ProbabilityPolynomial,
     RationalMatrix,
     TypeSpec,
@@ -356,17 +355,6 @@ RECORDS = [
         [
             ((2, frozenset({(1, 1)})), ValueError, "loop (1, 1) not allowed"),
             ((2, frozenset({(1, 3)})), ValueError, "edge (1, 3) outside vertex range 1..2"),
-        ],
-    ),
-    (
-        Polynomial,
-        {"coefficients": (1, 2)},
-        [
-            (
-                ((Fraction(1, 2),),),
-                TypeError,
-                "'Fraction' object cannot be interpreted as an integer",
-            ),
         ],
     ),
     (
